@@ -79,9 +79,11 @@ impl PilotConfig {
         self
     }
 
-    /// Builder: replace the calibration.
+    /// Builder: replace the calibration (re-validated: the srun step
+    /// ceiling bounds the instance count).
     pub fn with_calibration(mut self, cal: Calibration) -> Self {
         self.cal = cal;
+        self.validate();
         self
     }
 
@@ -105,11 +107,19 @@ impl PilotConfig {
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), kinds.len(), "one spec per backend kind");
-        let total_instances: u32 = self.backends.iter().map(|b| b.partitions()).sum();
+        let total_instances = self.total_instances();
         assert!(
             total_instances <= self.nodes,
             "more backend instances ({total_instances}) than nodes ({})",
             self.nodes
+        );
+        // Each instance boots inside a persistent srun step it holds for
+        // the whole run; one without a step slot would never come up and
+        // its tasks would wait forever.
+        assert!(
+            total_instances as usize <= self.cal.srun_concurrency_ceiling,
+            "more backend instances ({total_instances}) than srun step slots ({})",
+            self.cal.srun_concurrency_ceiling
         );
     }
 
@@ -194,6 +204,20 @@ mod tests {
     #[should_panic(expected = "more backend instances")]
     fn instances_bounded_by_nodes() {
         PilotConfig::flux(4, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "more backend instances (128) than srun step slots (112)")]
+    fn instances_bounded_by_srun_steps() {
+        PilotConfig::flux_dragon(1024, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "than srun step slots (8)")]
+    fn calibration_is_revalidated() {
+        let mut cal = Calibration::frontier();
+        cal.srun_concurrency_ceiling = 8;
+        PilotConfig::flux_dragon(64, 8).with_calibration(cal);
     }
 
     #[test]

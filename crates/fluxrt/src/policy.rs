@@ -65,6 +65,12 @@ impl SchedPolicy for Fcfs {
 /// end-time order); later jobs may jump ahead only if they fit now and
 /// cannot delay that reservation — either they finish before the shadow
 /// time, or they fit alongside the head's reserved placement.
+///
+/// The reservation is only consulted for a candidate that fits now, so it
+/// is built once per call, at the first such candidate. In a saturated
+/// pool no candidate fits and the call returns `None` without building
+/// it. The reservation depends only on the head, the pool and the running
+/// jobs, so when it is built does not change what is selected.
 #[derive(Debug, Clone, Copy)]
 pub struct EasyBackfill {
     /// How deep into the queue to search for backfill candidates; bounds
@@ -76,6 +82,37 @@ impl Default for EasyBackfill {
     fn default() -> Self {
         EasyBackfill { depth: 64 }
     }
+}
+
+/// The blocked head's shadow time and the pool with its reservation in
+/// place: clone the pool, free running placements in end-time order until
+/// the head fits, then allocate the head there. The sort is stable over
+/// the map's iteration order, which decides the reservation on ties.
+///
+/// `None` when the head can never start (infeasible even when everything
+/// drains). The instance machine rejects infeasible jobs at submit time,
+/// so this is only reachable when *other queued-but-matched* state holds
+/// resources; the caller waits.
+fn head_reservation(
+    head: &JobSpec,
+    pool: &ResourcePool,
+    running: &FxHashMap<JobId, RunningJob>,
+) -> Option<(SimTime, ResourcePool)> {
+    let mut shadow_pool = pool.scratch_clone();
+    let mut order: Vec<&RunningJob> = running.values().collect();
+    order.sort_by_key(|r| r.expected_end);
+    let mut shadow_time = None;
+    for r in &order {
+        shadow_pool.free(&r.placement);
+        if shadow_pool.fits_now(&head.req) {
+            shadow_time = Some(r.expected_end);
+            break;
+        }
+    }
+    let shadow_time = shadow_time?;
+    let reservation = shadow_pool.try_alloc(&head.req);
+    debug_assert!(reservation.is_some(), "shadow pool must fit head");
+    Some((shadow_time, shadow_pool))
 }
 
 impl SchedPolicy for EasyBackfill {
@@ -91,35 +128,19 @@ impl SchedPolicy for EasyBackfill {
             return Some(0);
         }
 
-        // Compute the shadow time: clone the pool, free running placements
-        // in end-time order until the head fits. (Only reached when the
-        // head is blocked — the hot path above never touches `running`.)
-        let mut shadow_pool = pool.scratch_clone();
-        let mut order: Vec<&RunningJob> = running.values().collect();
-        order.sort_by_key(|r| r.expected_end);
-        let mut shadow_time = None;
-        for r in &order {
-            shadow_pool.free(&r.placement);
-            if shadow_pool.fits_now(&head.req) {
-                shadow_time = Some(r.expected_end);
-                break;
-            }
-        }
-        // Head can never start (infeasible even when everything drains):
-        // do not let it block the queue — the instance machine rejects
-        // infeasible jobs at submit time, so this is only reachable when
-        // *other queued-but-matched* state holds resources; wait.
-        let shadow_time = shadow_time?;
-        // Reserve the head's future placement inside the shadow pool.
-        let reservation = shadow_pool.try_alloc(&head.req);
-        debug_assert!(reservation.is_some(), "shadow pool must fit head");
-
+        // The head is blocked. Its reservation is built at the first
+        // candidate that fits now, and never when none does.
+        let mut shadow = None;
         for (idx, job) in queue.iter().enumerate().skip(1).take(self.depth) {
             if !pool.fits_now(&job.req) {
                 continue;
             }
+            let (shadow_time, shadow_pool) = match &mut shadow {
+                Some(built) => built,
+                empty => empty.insert(head_reservation(head, pool, running)?),
+            };
             // Backfill rule 1: finishes before the head's reservation.
-            if now + job.duration <= shadow_time {
+            if now + job.duration <= *shadow_time {
                 return Some(idx);
             }
             // Backfill rule 2: runs past the shadow time but does not

@@ -8,9 +8,12 @@
 //! order or dropped event shows up here). A third run with a different
 //! seed must differ, which guards against the seed being silently unused.
 
-use radical_rs::core::{FaultSpec, PilotConfig, SimSession};
+use radical_rs::core::{FaultSpec, PilotConfig, SimSession, StaticWorkload, WorkloadSource};
 use radical_rs::sim::{SimDuration, SimTime};
-use radical_rs::workloads::{dummy_workload, null_workload};
+use radical_rs::workloads::{
+    dummy_workload, impeccable_campaign, mixed_workload, null_workload, ImpeccableParams,
+};
+use std::fmt::Write as _;
 
 const NODES: u32 = 4;
 
@@ -148,6 +151,54 @@ fn inactive_fault_plan_is_byte_identical_to_baseline() {
             "{name}: faults-off must not register chaos counters or shift metrics"
         );
     }
+}
+
+/// FNV-1a over every per-task record (its `Debug` rendering, in report
+/// order) followed by the full OpenMetrics text.
+fn records_and_metrics_digest(cfg: PilotConfig, workload: Box<dyn WorkloadSource>) -> u64 {
+    let report = SimSession::new(cfg, workload)
+        .with_metrics(SimDuration::from_secs(60))
+        .run();
+    let mut text = String::new();
+    for rec in &report.tasks {
+        let _ = writeln!(text, "{rec:?}");
+    }
+    text.push_str(&report.metrics.expect("metrics attached").openmetrics());
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Cross-commit golden for the EASY-backfill path. The run-vs-run tests
+/// above cannot catch a change that is deterministic but different, and
+/// `baselines/metrics.txt` covers a null cell that never blocks a Flux
+/// queue head. These two cells do:
+/// - hybrid Flux+Dragon with 360 s payloads keeps every Flux head blocked
+///   behind a full pool of single-core jobs;
+/// - the IMPECCABLE campaign at 64 nodes on one Flux instance mixes
+///   widths, so narrow jobs backfill ahead of a blocked wide head once
+///   its shadow time is known (the `bench_hotpaths --quick` cell).
+///
+/// A scheduling change that is meant to be a pure speed-up must leave
+/// both digests as they are; a deliberate model change updates them.
+#[test]
+fn backfill_cells_match_committed_digests() {
+    let hybrid = records_and_metrics_digest(
+        PilotConfig::flux_dragon(16, 4).with_seed(1000),
+        Box::new(StaticWorkload::new(mixed_workload(
+            16,
+            SimDuration::from_secs(360),
+        ))),
+    );
+    let impeccable = records_and_metrics_digest(
+        PilotConfig::flux(64, 1).with_seed(31),
+        Box::new(impeccable_campaign(ImpeccableParams::for_nodes(64))),
+    );
+    assert_eq!(
+        (hybrid, impeccable),
+        (0xcb91_4704_71e2_5e01, 0x72c6_7fac_024e_41b4),
+        "hybrid {hybrid:#018x}, impeccable {impeccable:#018x}"
+    );
 }
 
 /// The harness applies the same fault plan to every rep and instruments
