@@ -8,10 +8,13 @@
 //! order or dropped event shows up here). A third run with a different
 //! seed must differ, which guards against the seed being silently unused.
 
-use radical_rs::core::{FaultSpec, PilotConfig, SimSession, StaticWorkload, WorkloadSource};
+use radical_rs::core::{
+    BackendKind, BackendSpec, FailureInjection, FaultSpec, PilotConfig, RoutingPolicy, SimSession,
+};
 use radical_rs::sim::{SimDuration, SimTime};
 use radical_rs::workloads::{
-    dummy_workload, impeccable_campaign, mixed_workload, null_workload, ImpeccableParams,
+    dummy_workload, impeccable_campaign, mixed_workload, null_workload, task_count,
+    ImpeccableParams,
 };
 use std::fmt::Write as _;
 
@@ -154,19 +157,33 @@ fn inactive_fault_plan_is_byte_identical_to_baseline() {
 }
 
 /// FNV-1a over every per-task record (its `Debug` rendering, in report
-/// order) followed by the full OpenMetrics text.
-fn records_and_metrics_digest(cfg: PilotConfig, workload: Box<dyn WorkloadSource>) -> u64 {
-    let report = SimSession::new(cfg, workload)
-        .with_metrics(SimDuration::from_secs(60))
-        .run();
+/// order) followed by the full OpenMetrics text and, when the session
+/// records lineage, the lineage JSONL.
+fn records_and_metrics_digest(session: SimSession) -> u64 {
+    let report = session.with_metrics(SimDuration::from_secs(60)).run();
     let mut text = String::new();
     for rec in &report.tasks {
         let _ = writeln!(text, "{rec:?}");
     }
     text.push_str(&report.metrics.expect("metrics attached").openmetrics());
+    if let Some(lineage) = &report.lineage {
+        text.push_str(&lineage.to_jsonl());
+    }
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     })
+}
+
+/// Assert a table of `(cell, session, committed digest)` rows, reporting
+/// every row's digest on any mismatch so a deliberate model change can
+/// update the whole table from one failure message.
+fn assert_digests<const N: usize>(cells: [(&str, SimSession, u64); N]) {
+    let (mut got, mut want) = (String::new(), String::new());
+    for (name, session, digest) in cells {
+        let _ = writeln!(got, "{name}: {:#018x}", records_and_metrics_digest(session));
+        let _ = writeln!(want, "{name}: {digest:#018x}");
+    }
+    assert_eq!(got, want, "digest table drifted");
 }
 
 /// Cross-commit golden for the EASY-backfill path. The run-vs-run tests
@@ -183,22 +200,141 @@ fn records_and_metrics_digest(cfg: PilotConfig, workload: Box<dyn WorkloadSource
 /// both digests as they are; a deliberate model change updates them.
 #[test]
 fn backfill_cells_match_committed_digests() {
-    let hybrid = records_and_metrics_digest(
-        PilotConfig::flux_dragon(16, 4).with_seed(1000),
-        Box::new(StaticWorkload::new(mixed_workload(
-            16,
-            SimDuration::from_secs(360),
-        ))),
-    );
-    let impeccable = records_and_metrics_digest(
-        PilotConfig::flux(64, 1).with_seed(31),
-        Box::new(impeccable_campaign(ImpeccableParams::for_nodes(64))),
-    );
-    assert_eq!(
-        (hybrid, impeccable),
-        (0xcb91_4704_71e2_5e01, 0x72c6_7fac_024e_41b4),
-        "hybrid {hybrid:#018x}, impeccable {impeccable:#018x}"
-    );
+    assert_digests([
+        (
+            "hybrid",
+            SimSession::with_tasks(
+                PilotConfig::flux_dragon(16, 4).with_seed(1000),
+                mixed_workload(16, SimDuration::from_secs(360)),
+            ),
+            0xcb91_4704_71e2_5e01,
+        ),
+        (
+            "impeccable",
+            SimSession::new(
+                PilotConfig::flux(64, 1).with_seed(31),
+                Box::new(impeccable_campaign(ImpeccableParams::for_nodes(64))),
+            ),
+            0x72c6_7fac_024e_41b4,
+        ),
+    ]);
+}
+
+/// A dummy campaign under [`CHAOS_SPEC`] (node fail/restore, a backend
+/// crash with restart, hangs) with lineage attached, so the digest also
+/// covers every fault event and its recovery chain.
+fn chaos_cell(cfg: PilotConfig) -> SimSession {
+    let tasks = dummy_workload(NODES, SimDuration::from_secs(90));
+    let hint = tasks.len() as u64;
+    SimSession::with_tasks(cfg, tasks)
+        .with_lineage()
+        .with_faults(
+            FaultSpec::parse(CHAOS_SPEC).expect("chaos spec parses"),
+            7,
+            hint,
+        )
+}
+
+/// Cross-commit golden for every path between the agent and its
+/// backends: srun's direct launch path, PRRTE's RP-side placement,
+/// Dragon's flow-control window, sub-agent pipelines, injected instance
+/// kills, cancellation at each backend's queue, and the chaos plane's
+/// node, crash and hang faults per instance kind. A refactor of that glue
+/// must leave every digest as it is; a deliberate model change updates
+/// them.
+#[test]
+fn glue_cells_match_committed_digests() {
+    let dummy = |nodes: u32| dummy_workload(nodes, SimDuration::from_secs(90));
+    let three_kinds = PilotConfig::new(
+        8,
+        vec![
+            BackendSpec::Flux {
+                partitions: 1,
+                backfill: true,
+            },
+            BackendSpec::Dragon { partitions: 1 },
+            BackendSpec::Prrte { partitions: 1 },
+        ],
+    )
+    .with_routing(RoutingPolicy::LeastLoaded)
+    .with_seed(1000);
+    let kill = |at: u64, kind: BackendKind, partition: u32| FailureInjection {
+        at: SimTime::from_secs(at),
+        kind,
+        partition,
+    };
+    assert_digests([
+        (
+            "srun null",
+            SimSession::with_tasks(
+                PilotConfig::srun(NODES).with_seed(1000),
+                null_workload(NODES),
+            ),
+            0x56c5_93f1_d073_2e85,
+        ),
+        (
+            "prrte dummy",
+            SimSession::with_tasks(PilotConfig::prrte(NODES).with_seed(1000), dummy(NODES)),
+            0xd771_6668_a2a5_0d40,
+        ),
+        (
+            "dragon dummy",
+            SimSession::with_tasks(PilotConfig::dragon(NODES).with_seed(1000), dummy(NODES)),
+            0x6b81_7a10_94a2_0e05,
+        ),
+        (
+            "flux+dragon sub-agents",
+            SimSession::with_tasks(
+                PilotConfig::flux_dragon(16, 4)
+                    .with_sub_agents(true)
+                    .with_seed(1000),
+                mixed_workload(16, SimDuration::from_secs(60)),
+            ),
+            0x7ce3_0539_c4f7_0d67,
+        ),
+        (
+            "flux+dragon kills",
+            SimSession::with_tasks(
+                PilotConfig::flux_dragon(8, 2).with_seed(1000),
+                mixed_workload(8, SimDuration::from_secs(90)),
+            )
+            .inject_failure(kill(150, BackendKind::Flux, 1))
+            .inject_failure(kill(200, BackendKind::Dragon, 0)),
+            0x9804_0181_ece9_6c98,
+        ),
+        (
+            "least-loaded cancel",
+            SimSession::with_tasks(three_kinds, dummy(8)).cancel_at(
+                SimTime::from_secs(60),
+                (0..task_count(8)).step_by(3).collect(),
+            ),
+            0xd23f_a7b5_b85f_7114,
+        ),
+        (
+            "srun cancel",
+            SimSession::with_tasks(PilotConfig::srun(NODES).with_seed(1000), dummy(NODES))
+                .cancel_at(
+                    SimTime::from_secs(100),
+                    (0..task_count(NODES)).step_by(2).collect(),
+                ),
+            0x7f42_a91e_aaa0_3388,
+        ),
+        (
+            "chaos flux",
+            chaos_cell(PilotConfig::flux(NODES, 2).with_seed(1000)),
+            0x9cfb_5657_2ded_af26,
+        ),
+        (
+            "chaos dragon",
+            chaos_cell(PilotConfig::dragon(NODES).with_seed(1000)),
+            0x9b82_7058_1f68_4d69,
+        ),
+        (
+            "chaos srun",
+            chaos_cell(PilotConfig::srun(NODES).with_seed(1000)),
+            0xa8ef_2563_53bc_7dec,
+        ),
+    ]);
 }
 
 /// The harness applies the same fault plan to every rep and instruments
