@@ -9,12 +9,16 @@
 //! "RP task-management" ceiling) → backend submit.
 //!
 //! Backends run as reactive sub-machines owned by the agent: a site-wide
-//! [`SrunSim`] (which also carries Flux/Dragon instance bootstraps on
-//! persistent slots, so instance count interacts with the 112-step ceiling
-//! exactly as on Frontier), per-partition [`FluxInstanceSim`]s, and
-//! per-partition [`DragonSim`]s. Task state transitions are driven by their
-//! emitted events, never by polling — the event-driven integration of
-//! §3.2.
+//! [`SrunSim`] (which also carries every instance bootstrap on a
+//! persistent slot, so instance count interacts with the 112-step ceiling
+//! exactly as on Frontier) and per-partition [`FluxInstanceSim`]s,
+//! [`DragonSim`]s and [`PrrteDvm`]s, listed in one instance table in
+//! instance-report order. Every backend speaks the same effect vocabulary,
+//! [`rp_sim::Action`]: timers, readiness, payload start, completion and
+//! failure. One apply path turns those effects into timers and task state
+//! transitions (through the kind's watcher, except srun, whose launcher
+//! reports straight into the record), never by polling — the event-driven
+//! integration of §3.2.
 
 use crate::backend::{BackendKind, BackendSpec, ALL_BACKENDS};
 use crate::config::PilotConfig;
@@ -25,19 +29,16 @@ use crate::service::{ServiceDescription, ServiceRecord};
 use crate::task::{TaskDescription, TaskId, TaskRecord, TaskState};
 use crate::workload::{ResourceView, WorkloadSource};
 use rp_chaos::{FaultAction, FaultPlan, RecoveryPolicy};
-use rp_dragonrt::{DragonAction, DragonSim, DragonTask, DragonToken};
-use rp_fluxrt::{
-    EasyBackfill, ExceptionKind, Fcfs, FluxAction, FluxInstanceSim, FluxToken, JobEvent, JobId,
-    JobSpec, SchedPolicy,
-};
+use rp_dragonrt::{DragonSim, DragonTask, DragonToken};
+use rp_fluxrt::{EasyBackfill, Fcfs, FluxInstanceSim, FluxToken, JobId, JobSpec, SchedPolicy};
 use rp_lineage::Lineage;
 use rp_metrics::{Counter as MCounter, Gauge as MGauge, Histogram as MHistogram, Registry, SpanId};
 use rp_platform::{Allocation, Cluster, Placement, ResourcePool};
 use rp_profiler::{Profiler, Sym};
-use rp_prrte::{PrrteAction, PrrteDvm, PrrteTask, PrrteToken};
+use rp_prrte::{PrrteDvm, PrrteTask, PrrteToken};
 use rp_serving::{ServingOutcome, ServingState, ServingTaskKind};
-use rp_sim::{Actor, Ctx, Dist, FxHashMap, RngStream, SimTime, UidMap};
-use rp_slurm::{SrunAction, SrunSim, SrunToken, StepId, StepRequest};
+use rp_sim::{Action, Actor, Ctx, Dist, FxHashMap, RngStream, SimTime, UidMap};
+use rp_slurm::{SrunSim, SrunToken, StepId, StepRequest};
 use rp_telemetry::{SampleInput, Severity, Telemetry};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -49,6 +50,33 @@ const FLUX_INFRA_BASE: u64 = 1 << 62;
 const DRAGON_INFRA_BASE: u64 = (1 << 62) + (1 << 61);
 /// Infra step-id base for PRRTE DVM carriers.
 const PRRTE_INFRA_BASE: u64 = (1 << 62) + (1 << 61) + (1 << 60);
+
+/// The carrier srun step that holds the slot instance `part` of `kind`
+/// boots on.
+fn infra_step(kind: BackendKind, part: u32) -> StepId {
+    let base = match kind {
+        BackendKind::Flux => FLUX_INFRA_BASE,
+        BackendKind::Dragon => DRAGON_INFRA_BASE,
+        BackendKind::Prrte => PRRTE_INFRA_BASE,
+        BackendKind::Srun => unreachable!("srun needs no carrier"),
+    };
+    StepId(base + u64::from(part))
+}
+
+/// Wrap a site-srun timer token (the launcher has no partitions).
+fn srun_msg(_part: u32, token: SrunToken) -> AgentMsg {
+    AgentMsg::Srun(token)
+}
+
+/// Executor-adapter serialization cost for tasks bound to `kind`.
+fn adapter_cost(cal: &rp_platform::Calibration, kind: BackendKind) -> Dist {
+    match kind {
+        BackendKind::Srun => cal.rp_srun_adapter.clone(),
+        BackendKind::Flux => cal.rp_flux_adapter.clone(),
+        BackendKind::Dragon => cal.rp_dragon_adapter.clone(),
+        BackendKind::Prrte => cal.rp_prrte_adapter.clone(),
+    }
+}
 
 /// Messages driving the agent actor.
 #[derive(Debug)]
@@ -452,15 +480,15 @@ struct ChaosCounters {
     given_up: MCounter,
 }
 
-/// Which sub-machine a flat chaos-plan partition index maps to: flux
-/// partitions first, then dragon, then prrte, matching the instance
-/// order reports use; srun absorbs node faults when no instance-
-/// structured backend is deployed.
-enum FaultTarget {
-    Flux(usize),
-    Dragon(usize),
-    Prrte(usize),
-    Srun,
+/// One non-srun backend instance. [`SimAgent`] keeps them in one table in
+/// instance-report order, so a table index is at once the instance's
+/// `RunState::instances` slot and its flat chaos-plan partition.
+#[derive(Clone, Copy)]
+struct Instance {
+    kind: BackendKind,
+    /// Index into that kind's sim vector.
+    part: u32,
+    nodes: u32,
 }
 
 /// The simulated agent actor.
@@ -491,10 +519,8 @@ pub struct SimAgent {
     dragon: Vec<DragonSim>,
     dragon_allocs: Vec<Allocation>,
     prrte: Vec<PrrteBackend>,
-    /// RunState instance-report index per flux / dragon / prrte partition.
-    flux_report: Vec<usize>,
-    dragon_report: Vec<usize>,
-    prrte_report: Vec<usize>,
+    /// Every non-srun instance, in instance-report order.
+    instances: Vec<Instance>,
 
     assignment: UidMap<(BackendKind, u32)>,
     /// Tasks submitted but not yet terminal; when this drains to zero the
@@ -522,16 +548,16 @@ pub struct SimAgent {
     /// Round-robin cursors, indexed by `BackendKind as usize`.
     rr: [usize; 4],
     /// Reusable backend action buffers. Backends append into these
-    /// (out-param API) and `process_*_actions` drains them, so
+    /// (out-param API) and [`Self::apply_actions`] drains them, so
     /// steady-state event handling allocates nothing. Taken with
     /// `std::mem::take` around each use; a reentrant call (failure
     /// retry and fault paths) works on a fresh buffer, and
     /// [`Self::restore_scratch`] keeps whichever buffer grew larger so
     /// reentrancy can't permanently shrink the steady-state capacity.
-    scratch_srun: Vec<SrunAction>,
-    scratch_flux: Vec<FluxAction>,
-    scratch_dragon: Vec<DragonAction>,
-    scratch_prrte: Vec<PrrteAction>,
+    scratch_srun: Vec<Action<SrunToken>>,
+    scratch_flux: Vec<Action<FluxToken>>,
+    scratch_dragon: Vec<Action<DragonToken>>,
+    scratch_prrte: Vec<Action<PrrteToken>>,
     total_partitions: u32,
     /// Runtime profiler (disabled unless [`Self::attach_profiler`] ran).
     prof: Profiler,
@@ -585,9 +611,7 @@ impl SimAgent {
         let mut dragon_allocs = Vec::new();
         let mut prrte = Vec::new();
         let mut srun_backend = None;
-        let mut flux_report = Vec::new();
-        let mut dragon_report = Vec::new();
-        let mut prrte_report = Vec::new();
+        let mut instances = Vec::new();
         {
             let mut st = state.borrow_mut();
             let non_srun_instances: u32 = cfg
@@ -602,7 +626,7 @@ impl SimAgent {
                 Vec::new().into_iter()
             };
             for spec in &cfg.backends {
-                match spec {
+                let count = match spec {
                     BackendSpec::Srun => {
                         let oversubscribe = cfg.srun_oversubscribe.max(1) as u64;
                         let slots = alloc.total_cores() * oversubscribe;
@@ -614,69 +638,50 @@ impl SimAgent {
                             waiting: VecDeque::new(),
                             holds: UidMap::default(),
                         });
+                        continue;
                     }
-                    BackendSpec::Flux {
-                        partitions,
-                        backfill,
-                    } => {
-                        for p in 0..*partitions {
-                            let part = parts.next().expect("enough partitions");
+                    BackendSpec::Flux { partitions, .. }
+                    | BackendSpec::Dragon { partitions }
+                    | BackendSpec::Prrte { partitions } => *partitions,
+                };
+                let kind = spec.kind();
+                for p in 0..count {
+                    let part = parts.next().expect("enough partitions");
+                    let seed = rng.next_u64();
+                    st.instances.push(InstanceReport {
+                        kind,
+                        partition: p,
+                        nodes: part.count,
+                        srun_acquired: None,
+                        ready: None,
+                        killed: false,
+                    });
+                    instances.push(Instance {
+                        kind,
+                        part: p,
+                        nodes: part.count,
+                    });
+                    match spec {
+                        BackendSpec::Flux { backfill, .. } => {
                             let policy: Box<dyn SchedPolicy> = if *backfill {
                                 Box::new(EasyBackfill::default())
                             } else {
                                 Box::new(Fcfs)
                             };
-                            let seed = rng.next_u64();
-                            flux_report.push(st.instances.len());
-                            st.instances.push(InstanceReport {
-                                kind: BackendKind::Flux,
-                                partition: p,
-                                nodes: part.count,
-                                srun_acquired: None,
-                                ready: None,
-                                killed: false,
-                            });
                             flux.push(FluxInstanceSim::new(part, &cal, policy, seed));
                         }
-                    }
-                    BackendSpec::Dragon { partitions } => {
-                        for p in 0..*partitions {
-                            let part = parts.next().expect("enough partitions");
-                            let seed = rng.next_u64();
-                            dragon_report.push(st.instances.len());
-                            st.instances.push(InstanceReport {
-                                kind: BackendKind::Dragon,
-                                partition: p,
-                                nodes: part.count,
-                                srun_acquired: None,
-                                ready: None,
-                                killed: false,
-                            });
+                        BackendSpec::Dragon { .. } => {
                             dragon.push(DragonSim::new(&part, &cal, seed));
                             dragon_allocs.push(part);
                         }
-                    }
-                    BackendSpec::Prrte { partitions } => {
-                        for p in 0..*partitions {
-                            let part = parts.next().expect("enough partitions");
-                            let seed = rng.next_u64();
-                            prrte_report.push(st.instances.len());
-                            st.instances.push(InstanceReport {
-                                kind: BackendKind::Prrte,
-                                partition: p,
-                                nodes: part.count,
-                                srun_acquired: None,
-                                ready: None,
-                                killed: false,
-                            });
-                            prrte.push(PrrteBackend {
-                                dvm: PrrteDvm::new(&part, &cal, seed),
-                                pool: part.pool(),
-                                waiting: VecDeque::new(),
-                                placements: UidMap::default(),
-                                lin_reject: None,
-                            });
-                        }
+                        BackendSpec::Prrte { .. } => prrte.push(PrrteBackend {
+                            dvm: PrrteDvm::new(&part, &cal, seed),
+                            pool: part.pool(),
+                            waiting: VecDeque::new(),
+                            placements: UidMap::default(),
+                            lin_reject: None,
+                        }),
+                        BackendSpec::Srun => unreachable!("handled above"),
                     }
                 }
             }
@@ -684,53 +689,31 @@ impl SimAgent {
 
         let mut adapters: [Option<Adapter>; 4] = [None, None, None, None];
         for spec in &cfg.backends {
-            let (kind, cost) = match spec.kind() {
-                BackendKind::Srun => (BackendKind::Srun, cal.rp_srun_adapter.clone()),
-                BackendKind::Flux => (BackendKind::Flux, cal.rp_flux_adapter.clone()),
-                BackendKind::Dragon => (BackendKind::Dragon, cal.rp_dragon_adapter.clone()),
-                BackendKind::Prrte => (BackendKind::Prrte, cal.rp_prrte_adapter.clone()),
-            };
-            adapters[kind as usize] = Some(Adapter {
+            adapters[spec.kind() as usize] = Some(Adapter {
                 q: VecDeque::new(),
                 busy: false,
-                cost,
+                cost: adapter_cost(&cal, spec.kind()),
             });
         }
 
         let stagers_free = cfg.stager_concurrency.max(1);
         let n_dragon = dragon.len();
-        let n_instances = flux.len() + dragon.len() + prrte.len();
 
         // Per-partition sub-agent pipelines. A sub-agent's scheduler pays
         // only partition-local cost (no cross-partition term); its adapter
         // matches its backend kind.
         let mut subs: Vec<SubAgent> = Vec::new();
         if cfg.sub_agents {
-            let mut push_sub = |kind: BackendKind, part: u32, nodes: u32| {
-                let adapter_cost = match kind {
-                    BackendKind::Srun => cal.rp_srun_adapter.clone(),
-                    BackendKind::Flux => cal.rp_flux_adapter.clone(),
-                    BackendKind::Dragon => cal.rp_dragon_adapter.clone(),
-                    BackendKind::Prrte => cal.rp_prrte_adapter.clone(),
-                };
+            for inst in &instances {
                 subs.push(SubAgent {
-                    target: (kind, part),
+                    target: (inst.kind, inst.part),
                     sched_q: VecDeque::new(),
                     sched_busy: false,
-                    sched_cost: cal.rp_sched_cost(1, nodes),
+                    sched_cost: cal.rp_sched_cost(1, inst.nodes),
                     adapter_q: VecDeque::new(),
                     adapter_busy: false,
-                    adapter_cost,
+                    adapter_cost: adapter_cost(&cal, inst.kind),
                 });
-            };
-            for (i, f) in flux.iter().enumerate() {
-                push_sub(BackendKind::Flux, i as u32, f.allocation().count);
-            }
-            for (i, a) in dragon_allocs.iter().enumerate() {
-                push_sub(BackendKind::Dragon, i as u32, a.count);
-            }
-            for (i, pb) in prrte.iter().enumerate() {
-                push_sub(BackendKind::Prrte, i as u32, pb.pool.node_count() as u32);
             }
         }
         SimAgent {
@@ -751,14 +734,12 @@ impl SimAgent {
             dragon,
             dragon_allocs,
             prrte,
-            flux_report,
-            dragon_report,
-            prrte_report,
+            instances_pending: instances.len(),
+            instances,
             assignment: UidMap::default(),
             outstanding: 0,
             pending_services: Vec::new(),
             service_holds: Vec::new(),
-            instances_pending: n_instances,
             watcher_q: [const { VecDeque::new() }; 4],
             watcher_busy: [false; 4],
             watcher_cost: cal.rp_watcher.clone(),
@@ -1354,6 +1335,35 @@ impl SimAgent {
         self.total_partitions
     }
 
+    /// Deployed instances of `kind` (zero for srun, which has none).
+    fn partition_count(&self, kind: BackendKind) -> usize {
+        match kind {
+            BackendKind::Srun => 0,
+            BackendKind::Flux => self.flux.len(),
+            BackendKind::Dragon => self.dragon.len(),
+            BackendKind::Prrte => self.prrte.len(),
+        }
+    }
+
+    /// Instance-report slot of partition `part` of `kind`.
+    fn slot(&self, kind: BackendKind, part: u32) -> usize {
+        self.instances
+            .iter()
+            .position(|i| i.kind == kind && i.part == part)
+            .expect("deployed instance")
+    }
+
+    /// Whether partition `part` of `kind` is up; the site srun always is.
+    fn is_alive(&self, kind: BackendKind, part: u32) -> bool {
+        let p = part as usize;
+        match kind {
+            BackendKind::Srun => true,
+            BackendKind::Flux => self.flux[p].is_alive(),
+            BackendKind::Dragon => self.dragon[p].is_alive(),
+            BackendKind::Prrte => self.prrte[p].dvm.is_alive(),
+        }
+    }
+
     fn resource_view(&self) -> ResourceView {
         let mut free_cores = 0u64;
         let mut free_gpus = 0u64;
@@ -1752,14 +1762,10 @@ impl SimAgent {
         kind: BackendKind,
         avoid: Option<(BackendKind, u32)>,
     ) -> Option<u32> {
-        let count = match kind {
-            BackendKind::Srun => {
-                return self.srun_backend.as_ref().map(|_| 0);
-            }
-            BackendKind::Flux => self.flux.len(),
-            BackendKind::Dragon => self.dragon.len(),
-            BackendKind::Prrte => self.prrte.len(),
-        };
+        if kind == BackendKind::Srun {
+            return self.srun_backend.as_ref().map(|_| 0);
+        }
+        let count = self.partition_count(kind);
         if count == 0 {
             return None;
         }
@@ -1771,13 +1777,7 @@ impl SimAgent {
         let mut fallback = None;
         for off in 0..count {
             let idx = (start + off) % count;
-            let alive = match kind {
-                BackendKind::Flux => self.flux[idx].is_alive(),
-                BackendKind::Dragon => self.dragon[idx].is_alive(),
-                BackendKind::Prrte => self.prrte[idx].dvm.is_alive(),
-                BackendKind::Srun => true,
-            };
-            if !alive {
+            if !self.is_alive(kind, idx as u32) {
                 continue;
             }
             if avoid_idx == Some(idx) {
@@ -1831,7 +1831,7 @@ impl SimAgent {
                 };
                 let mut acts = std::mem::take(&mut self.scratch_flux);
                 self.flux[part as usize].submit(now, job, &mut acts);
-                self.process_flux_actions(part, &mut acts, ctx);
+                self.apply_actions(kind, part, &mut acts, AgentMsg::Flux, ctx);
                 Self::restore_scratch(&mut self.scratch_flux, acts);
             }
             BackendKind::Prrte => {
@@ -1920,13 +1920,7 @@ impl SimAgent {
                 failed: true,
             };
             if let Some(kind) = kind {
-                let parts = match kind {
-                    BackendKind::Flux => self.flux.len(),
-                    BackendKind::Dragon => self.dragon.len(),
-                    BackendKind::Prrte => self.prrte.len(),
-                    BackendKind::Srun => 0,
-                };
-                for p in 0..parts {
+                for p in 0..self.partition_count(kind) {
                     let placed = match kind {
                         BackendKind::Flux => {
                             self.flux[p].reserve(&desc.req).map(|pl| (Some(pl), 0u64))
@@ -2088,7 +2082,7 @@ impl SimAgent {
         self.dragon_inflight[part as usize] += 1;
         let mut acts = std::mem::take(&mut self.scratch_dragon);
         self.dragon[part as usize].submit(task, &mut acts);
-        self.process_dragon_actions(part, &mut acts, ctx);
+        self.apply_actions(BackendKind::Dragon, part, &mut acts, AgentMsg::Dragon, ctx);
         Self::restore_scratch(&mut self.scratch_dragon, acts);
     }
 
@@ -2147,47 +2141,8 @@ impl SimAgent {
                 );
             }
         }
-        self.process_prrte_actions(part, &mut acts, ctx);
+        self.apply_actions(BackendKind::Prrte, part, &mut acts, AgentMsg::Prrte, ctx);
         Self::restore_scratch(&mut self.scratch_prrte, acts);
-    }
-
-    fn process_prrte_actions(
-        &mut self,
-        part: u32,
-        acts: &mut Vec<PrrteAction>,
-        ctx: &mut Ctx<AgentMsg>,
-    ) {
-        let now = ctx.now();
-        for a in acts.drain(..) {
-            match a {
-                PrrteAction::Timer { after, token } => {
-                    ctx.timer(after, AgentMsg::Prrte(part, token))
-                }
-                PrrteAction::Ready => {
-                    if self.mark_instance_ready(self.prrte_report[part as usize], now) {
-                        self.instance_ready(ctx);
-                    }
-                }
-                PrrteAction::Started(id) => {
-                    self.watch(
-                        BackendKind::Prrte,
-                        WatcherEvent::Exec(TaskId(id), part),
-                        ctx,
-                    );
-                }
-                PrrteAction::Completed(id) => {
-                    // Free the RP-held placement immediately; the record
-                    // update flows through the watcher like other backends.
-                    let t = TaskId(id);
-                    let pb = &mut self.prrte[part as usize];
-                    if let Some(pl) = pb.placements.remove(t.0) {
-                        pb.pool.free(&pl);
-                    }
-                    self.watch(BackendKind::Prrte, WatcherEvent::Term(t), ctx);
-                    self.pump_prrte(part, ctx);
-                }
-            }
-        }
     }
 
     fn pump_srun_backend(&mut self, ctx: &mut Ctx<AgentMsg>) {
@@ -2257,139 +2212,129 @@ impl SimAgent {
                 &mut acts,
             );
         }
-        self.process_srun_actions(&mut acts, ctx);
+        self.apply_actions(BackendKind::Srun, 0, &mut acts, srun_msg, ctx);
         Self::restore_scratch(&mut self.scratch_srun, acts);
+    }
+
+    /// Return the agent-side srun capacity task `uid` holds, if any.
+    fn release_srun_hold(&mut self, uid: u64) {
+        if let Some(sb) = self.srun_backend.as_mut() {
+            if let Some((c, g)) = sb.holds.remove(uid) {
+                sb.free_core_slots += c;
+                sb.free_gpus += g;
+            }
+        }
     }
 
     // ----------------------------------------------------- action routing
 
-    fn process_srun_actions(&mut self, acts: &mut Vec<SrunAction>, ctx: &mut Ctx<AgentMsg>) {
+    /// Apply what partition `part` of `kind` emitted. `msg` wraps the
+    /// backend's timer token into the agent message that delivers it back.
+    /// Lifecycle effects flow through the kind's watcher, except srun's,
+    /// which its launcher reports straight into the task record.
+    fn apply_actions<T>(
+        &mut self,
+        kind: BackendKind,
+        part: u32,
+        acts: &mut Vec<Action<T>>,
+        msg: fn(u32, T) -> AgentMsg,
+        ctx: &mut Ctx<AgentMsg>,
+    ) {
         let now = ctx.now();
         for a in acts.drain(..) {
             match a {
-                SrunAction::Timer { after, token } => ctx.timer(after, AgentMsg::Srun(token)),
-                SrunAction::Started(StepId(id)) => {
+                Action::Timer { after, token } => ctx.timer(after, msg(part, token)),
+                Action::Ready => {
+                    if self.mark_instance_ready(self.slot(kind, part), now) {
+                        self.instance_ready(ctx);
+                    }
+                }
+                Action::Started(id) if kind == BackendKind::Srun => {
                     if id >= FLUX_INFRA_BASE {
                         self.on_infra_carrier_live(id, ctx);
                     } else {
                         self.with_task(TaskId(id), |rec| rec.advance(TaskState::Executing, now));
                     }
                 }
-                SrunAction::Completed(StepId(id)) => {
-                    debug_assert!(id < FLUX_INFRA_BASE, "infra steps never exit via timer");
+                Action::Started(id) => self.watch(kind, WatcherEvent::Exec(TaskId(id), part), ctx),
+                Action::Completed(id) => {
                     let t = TaskId(id);
-                    if let Some(sb) = self.srun_backend.as_mut() {
-                        if let Some((c, g)) = sb.holds.remove(t.0) {
-                            sb.free_core_slots += c;
-                            sb.free_gpus += g;
+                    match kind {
+                        BackendKind::Srun => {
+                            debug_assert!(id < FLUX_INFRA_BASE, "infra steps never exit via timer");
+                            self.release_srun_hold(id);
+                            self.with_task(t, |rec| rec.advance(TaskState::Done, now));
+                            self.on_terminal(t, ctx);
+                            self.pump_srun_backend(ctx);
                         }
+                        BackendKind::Prrte => {
+                            // Free the RP-held placement immediately; the
+                            // record update flows through the watcher like
+                            // other backends.
+                            let pb = &mut self.prrte[part as usize];
+                            if let Some(pl) = pb.placements.remove(id) {
+                                pb.pool.free(&pl);
+                            }
+                            self.watch(kind, WatcherEvent::Term(t), ctx);
+                            self.pump_prrte(part, ctx);
+                        }
+                        _ => self.watch(kind, WatcherEvent::Term(t), ctx),
                     }
-                    self.with_task(t, |rec| rec.advance(TaskState::Done, now));
-                    self.on_terminal(t, ctx);
-                    self.pump_srun_backend(ctx);
                 }
+                Action::Failed { id, retryable } => self.fail_task(TaskId(id), retryable, ctx),
             }
         }
     }
 
-    fn on_infra_carrier_live(&mut self, infra_id: u64, ctx: &mut Ctx<AgentMsg>) {
-        let now = ctx.now();
-        if infra_id >= PRRTE_INFRA_BASE {
-            let idx = (infra_id - PRRTE_INFRA_BASE) as usize;
-            {
-                let mut st = self.state.borrow_mut();
-                let slot = self.prrte_report[idx];
-                st.instances[slot].srun_acquired = Some(now);
-            }
-            let mut acts = std::mem::take(&mut self.scratch_prrte);
-            self.prrte[idx].dvm.boot(&mut acts);
-            self.process_prrte_actions(idx as u32, &mut acts, ctx);
-            Self::restore_scratch(&mut self.scratch_prrte, acts);
-        } else if infra_id >= DRAGON_INFRA_BASE {
-            let idx = (infra_id - DRAGON_INFRA_BASE) as usize;
-            {
-                let mut st = self.state.borrow_mut();
-                let slot = self.dragon_report[idx];
-                st.instances[slot].srun_acquired = Some(now);
-            }
-            let mut acts = std::mem::take(&mut self.scratch_dragon);
-            self.dragon[idx].boot(&mut acts);
-            self.process_dragon_actions(idx as u32, &mut acts, ctx);
-            Self::restore_scratch(&mut self.scratch_dragon, acts);
-        } else {
-            let idx = (infra_id - FLUX_INFRA_BASE) as usize;
-            {
-                let mut st = self.state.borrow_mut();
-                let slot = self.flux_report[idx];
-                st.instances[slot].srun_acquired = Some(now);
-            }
-            let mut acts = std::mem::take(&mut self.scratch_flux);
-            self.flux[idx].boot(&mut acts);
-            self.process_flux_actions(idx as u32, &mut acts, ctx);
-            Self::restore_scratch(&mut self.scratch_flux, acts);
-        }
+    /// An instance's carrier srun step holds its slot: stamp the report
+    /// and boot the instance on it.
+    fn on_infra_carrier_live(&mut self, step: u64, ctx: &mut Ctx<AgentMsg>) {
+        let slot = self
+            .instances
+            .iter()
+            .position(|i| infra_step(i.kind, i.part).0 == step)
+            .expect("carrier of a deployed instance");
+        self.state.borrow_mut().instances[slot].srun_acquired = Some(ctx.now());
+        let Instance { kind, part, .. } = self.instances[slot];
+        self.bring_up(kind, part, false, ctx);
     }
 
-    fn process_flux_actions(
-        &mut self,
-        part: u32,
-        acts: &mut Vec<FluxAction>,
-        ctx: &mut Ctx<AgentMsg>,
-    ) {
-        let now = ctx.now();
-        for a in acts.drain(..) {
-            match a {
-                FluxAction::Timer { after, token } => ctx.timer(after, AgentMsg::Flux(part, token)),
-                FluxAction::Ready => {
-                    if self.mark_instance_ready(self.flux_report[part as usize], now) {
-                        self.instance_ready(ctx);
-                    }
+    /// Boot partition `part` of `kind`, or restart it after a crash, and
+    /// apply what it emits.
+    fn bring_up(&mut self, kind: BackendKind, part: u32, restart: bool, ctx: &mut Ctx<AgentMsg>) {
+        let p = part as usize;
+        match kind {
+            BackendKind::Flux => {
+                let mut acts = std::mem::take(&mut self.scratch_flux);
+                if restart {
+                    self.flux[p].restart(&mut acts);
+                } else {
+                    self.flux[p].boot(&mut acts);
                 }
-                FluxAction::Event(ev) => match ev {
-                    JobEvent::Submitted(_) | JobEvent::Alloc(_) => {}
-                    JobEvent::Start(JobId(id)) => {
-                        self.watch(BackendKind::Flux, WatcherEvent::Exec(TaskId(id), part), ctx);
-                    }
-                    JobEvent::Finish(JobId(id)) => {
-                        self.watch(BackendKind::Flux, WatcherEvent::Term(TaskId(id)), ctx);
-                    }
-                    JobEvent::Exception(JobId(id), kind) => {
-                        let retryable = kind == ExceptionKind::InstanceLost;
-                        self.fail_task(TaskId(id), retryable, ctx);
-                    }
-                },
+                self.apply_actions(kind, part, &mut acts, AgentMsg::Flux, ctx);
+                Self::restore_scratch(&mut self.scratch_flux, acts);
             }
-        }
-    }
-
-    fn process_dragon_actions(
-        &mut self,
-        part: u32,
-        acts: &mut Vec<DragonAction>,
-        ctx: &mut Ctx<AgentMsg>,
-    ) {
-        let now = ctx.now();
-        for a in acts.drain(..) {
-            match a {
-                DragonAction::Timer { after, token } => {
-                    ctx.timer(after, AgentMsg::Dragon(part, token))
+            BackendKind::Dragon => {
+                let mut acts = std::mem::take(&mut self.scratch_dragon);
+                if restart {
+                    self.dragon[p].restart(&mut acts);
+                } else {
+                    self.dragon[p].boot(&mut acts);
                 }
-                DragonAction::Ready => {
-                    if self.mark_instance_ready(self.dragon_report[part as usize], now) {
-                        self.instance_ready(ctx);
-                    }
-                }
-                DragonAction::Started(id) => {
-                    self.watch(
-                        BackendKind::Dragon,
-                        WatcherEvent::Exec(TaskId(id), part),
-                        ctx,
-                    );
-                }
-                DragonAction::Completed(id) => {
-                    self.watch(BackendKind::Dragon, WatcherEvent::Term(TaskId(id)), ctx);
-                }
+                self.apply_actions(kind, part, &mut acts, AgentMsg::Dragon, ctx);
+                Self::restore_scratch(&mut self.scratch_dragon, acts);
             }
+            BackendKind::Prrte => {
+                let mut acts = std::mem::take(&mut self.scratch_prrte);
+                if restart {
+                    self.prrte[p].dvm.restart(&mut acts);
+                } else {
+                    self.prrte[p].dvm.boot(&mut acts);
+                }
+                self.apply_actions(kind, part, &mut acts, AgentMsg::Prrte, ctx);
+                Self::restore_scratch(&mut self.scratch_prrte, acts);
+            }
+            BackendKind::Srun => unreachable!("srun is not an instance-structured backend"),
         }
     }
 
@@ -2499,12 +2444,7 @@ impl SimAgent {
                     } || self.site_srun.cancel(StepId(t.0));
                     if canceled {
                         // Free any capacity the agent already held for it.
-                        if let Some(sb) = self.srun_backend.as_mut() {
-                            if let Some((c, g)) = sb.holds.remove(t.0) {
-                                sb.free_core_slots += c;
-                                sb.free_gpus += g;
-                            }
-                        }
+                        self.release_srun_hold(t.0);
                     }
                     canceled
                 }
@@ -2540,54 +2480,41 @@ impl SimAgent {
         part: u32,
         ctx: &mut Ctx<AgentMsg>,
     ) -> Vec<TaskId> {
-        let (lost, was_booting): (Vec<TaskId>, bool) = match kind {
-            BackendKind::Flux => {
-                let idx = part as usize;
-                let lost = self.flux[idx].kill();
-                let mut st = self.state.borrow_mut();
-                let slot = self.flux_report[idx];
-                let was_booting = st.instances[slot].ready.is_none();
-                st.instances[slot].killed = true;
-                drop(st);
-                (
-                    lost.into_iter().map(|JobId(id)| TaskId(id)).collect(),
-                    was_booting,
-                )
-            }
+        let p = part as usize;
+        let lost: Vec<u64> = match kind {
+            BackendKind::Flux => self.flux[p]
+                .kill()
+                .into_iter()
+                .map(|JobId(id)| id)
+                .collect(),
             BackendKind::Dragon => {
-                let idx = part as usize;
-                let mut lost = self.dragon[idx].kill();
-                lost.extend(self.dragon_parked[idx].drain(..).map(|t| t.0));
-                self.dragon_inflight[idx] = 0;
-                let mut st = self.state.borrow_mut();
-                let slot = self.dragon_report[idx];
-                let was_booting = st.instances[slot].ready.is_none();
-                st.instances[slot].killed = true;
-                drop(st);
-                (lost.into_iter().map(TaskId).collect(), was_booting)
+                let mut lost = self.dragon[p].kill();
+                lost.extend(self.dragon_parked[p].drain(..).map(|t| t.0));
+                self.dragon_inflight[p] = 0;
+                lost
             }
             BackendKind::Prrte => {
-                let idx = part as usize;
-                let pb = &mut self.prrte[idx];
-                let mut lost: Vec<u64> = pb.dvm.kill();
+                let pb = &mut self.prrte[p];
+                let mut lost = pb.dvm.kill();
                 lost.extend(pb.waiting.drain(..).map(|t| t.0));
                 // The partition's nodes are gone with the DVM.
                 pb.placements.clear();
-                let mut st = self.state.borrow_mut();
-                let slot = self.prrte_report[idx];
-                let was_booting = st.instances[slot].ready.is_none();
-                st.instances[slot].killed = true;
-                drop(st);
-                (lost.into_iter().map(TaskId).collect(), was_booting)
+                lost
             }
             BackendKind::Srun => panic!("srun is not an instance-structured backend"),
+        };
+        let slot = self.slot(kind, part);
+        let was_booting = {
+            let mut st = self.state.borrow_mut();
+            st.instances[slot].killed = true;
+            st.instances[slot].ready.is_none()
         };
         if was_booting {
             // The dead instance will never report Ready; release the
             // pilot-activation gate on its behalf so the survivors proceed.
             self.instance_ready(ctx);
         }
-        lost
+        lost.into_iter().map(TaskId).collect()
     }
 
     // ------------------------------------------------------- chaos plane
@@ -2677,25 +2604,18 @@ impl SimAgent {
         }
     }
 
-    /// Resolve a flat chaos-plan partition index (flux, then dragon, then
-    /// prrte — the instance-report order) to the owning sub-machine.
-    /// Srun-only pilots direct node faults at the site srun.
-    fn fault_target(&self, partition: u32) -> FaultTarget {
-        let nf = self.flux.len();
-        let nd = self.dragon.len();
-        let np = self.prrte.len();
-        let total = nf + nd + np;
-        if total == 0 {
-            return FaultTarget::Srun;
+    /// Resolve a flat chaos-plan partition index to its instance through
+    /// the instance table (instance-report order). Srun-only pilots
+    /// direct node faults at the site srun, which spans the allocation.
+    fn fault_target(&self, partition: u32) -> Instance {
+        if self.instances.is_empty() {
+            return Instance {
+                kind: BackendKind::Srun,
+                part: 0,
+                nodes: self.cfg.nodes,
+            };
         }
-        let p = partition as usize % total;
-        if p < nf {
-            FaultTarget::Flux(p)
-        } else if p < nf + nd {
-            FaultTarget::Dragon(p - nf)
-        } else {
-            FaultTarget::Prrte(p - nf - nd)
-        }
+        self.instances[partition as usize % self.instances.len()]
     }
 
     /// Flight-recorder alarm for a fault event (no-op untracked).
@@ -2798,106 +2718,55 @@ impl SimAgent {
     /// the node's capacity leaves its partition until `RestoreNode`.
     fn fault_fail_node(&mut self, partition: u32, node_idx: u32, ctx: &mut Ctx<AgentMsg>) {
         self.note_fault(rp_lineage::FAULT_NODE);
-        match self.fault_target(partition) {
-            FaultTarget::Flux(idx) => {
-                let node_idx = node_idx % self.flux[idx].allocation().count.max(1);
-                self.fault_alarm(
-                    "fault_node",
-                    Severity::Warning,
-                    Some(BackendKind::Flux),
-                    Some(idx as u32),
-                    f64::from(node_idx),
-                    format!("node {node_idx} of flux partition {idx} failed"),
-                );
-                let now = ctx.now();
+        let Instance { kind, part, nodes } = self.fault_target(partition);
+        let (p, node_idx) = (part as usize, node_idx % nodes.max(1));
+        // The DVM has no node model — placement lives with the agent
+        // (§5), and so does the node's state.
+        if kind == BackendKind::Prrte && !self.prrte[p].pool.node_down(node_idx as usize) {
+            return; // already down: nothing new to fail
+        }
+        let message = match kind {
+            BackendKind::Srun => format!("node {node_idx} of the srun allocation failed"),
+            _ => format!("node {node_idx} of {kind} partition {part} failed"),
+        };
+        self.fault_alarm(
+            "fault_node",
+            Severity::Warning,
+            Some(kind),
+            Some(part),
+            f64::from(node_idx),
+            message,
+        );
+        let lost: Vec<u64> = match kind {
+            BackendKind::Flux => {
                 let mut acts = std::mem::take(&mut self.scratch_flux);
-                let lost = self.flux[idx].fail_node(now, node_idx, &mut acts);
-                self.process_flux_actions(idx as u32, &mut acts, ctx);
+                let lost = self.flux[p].fail_node(ctx.now(), node_idx, &mut acts);
+                self.apply_actions(kind, part, &mut acts, AgentMsg::Flux, ctx);
                 Self::restore_scratch(&mut self.scratch_flux, acts);
-                for JobId(id) in lost {
-                    self.fail_task_fault(
-                        TaskId(id),
-                        rp_lineage::FAULT_NODE,
-                        u64::from(node_idx),
-                        ctx,
-                    );
-                }
+                lost.into_iter().map(|JobId(id)| id).collect()
             }
-            FaultTarget::Dragon(idx) => {
-                let node_idx = node_idx % self.dragon_allocs[idx].count.max(1);
-                self.fault_alarm(
-                    "fault_node",
-                    Severity::Warning,
-                    Some(BackendKind::Dragon),
-                    Some(idx as u32),
-                    f64::from(node_idx),
-                    format!("node {node_idx} of dragon partition {idx} failed"),
-                );
+            BackendKind::Dragon => {
                 let mut acts = std::mem::take(&mut self.scratch_dragon);
-                let lost = self.dragon[idx].fail_node(node_idx, &mut acts);
-                self.process_dragon_actions(idx as u32, &mut acts, ctx);
+                let lost = self.dragon[p].fail_node(node_idx, &mut acts);
+                self.apply_actions(kind, part, &mut acts, AgentMsg::Dragon, ctx);
                 Self::restore_scratch(&mut self.scratch_dragon, acts);
-                for id in lost {
-                    // A victim that never produced a `Started` event still
-                    // holds a flow-control window slot no watcher event
-                    // will return: free it and feed the park queue. (An
-                    // Exec still queued at the watcher frees the slot on
-                    // its own when it drains.)
-                    let submitted = self
-                        .state
-                        .borrow()
-                        .tasks
-                        .get(id)
-                        .is_some_and(|r| r.state == TaskState::Submitted);
-                    let exec_pending = self.watcher_q[BackendKind::Dragon as usize]
-                        .iter()
-                        .any(|ev| matches!(ev, WatcherEvent::Exec(x, _) if x.0 == id));
-                    if submitted && !exec_pending {
-                        self.dragon_inflight[idx] = self.dragon_inflight[idx].saturating_sub(1);
-                        if let Some(next) = self.dragon_parked[idx].pop_front() {
-                            if self.dragon[idx].is_alive() {
-                                self.push_to_dragon(idx as u32, next, ctx);
-                            } else {
-                                self.fail_task(next, true, ctx);
-                            }
-                        }
-                    }
-                    self.fail_task_fault(
-                        TaskId(id),
-                        rp_lineage::FAULT_NODE,
-                        u64::from(node_idx),
-                        ctx,
-                    );
-                }
+                lost
             }
-            FaultTarget::Prrte(idx) => {
-                // The DVM has no node model — placement lives with the
-                // agent (§5), so victim selection does too: every resident
-                // whose placement touches the node is reaped.
-                let node_idx = node_idx as usize % self.prrte[idx].pool.node_count().max(1);
-                if !self.prrte[idx].pool.node_down(node_idx) {
-                    return; // already down: nothing new to fail
-                }
-                self.fault_alarm(
-                    "fault_node",
-                    Severity::Warning,
-                    Some(BackendKind::Prrte),
-                    Some(idx as u32),
-                    node_idx as f64,
-                    format!("node {node_idx} of prrte partition {idx} failed"),
-                );
-                let victims: Vec<u64> = self.prrte[idx]
+            BackendKind::Prrte => {
+                // Every resident whose placement touches the node is
+                // reaped.
+                let pb = &mut self.prrte[p];
+                let victims: Vec<u64> = pb
                     .dvm
                     .resident_ids()
                     .into_iter()
                     .filter(|id| {
-                        self.prrte[idx].placements.get(*id).is_some_and(|pl| {
-                            pl.ranks.iter().any(|r| r.node_idx == node_idx as u32)
-                        })
+                        pb.placements
+                            .get(*id)
+                            .is_some_and(|pl| pl.ranks.iter().any(|r| r.node_idx == node_idx))
                     })
                     .collect();
                 for &id in &victims {
-                    let pb = &mut self.prrte[idx];
                     if let Some(pl) = pb.placements.remove(id) {
                         // Down-node ranks park inside the pool; surviving
                         // ranks free normally.
@@ -2905,132 +2774,111 @@ impl SimAgent {
                     }
                     pb.dvm.reap(id);
                 }
-                self.pump_prrte(idx as u32, ctx);
-                for id in victims {
-                    self.fail_task_fault(TaskId(id), rp_lineage::FAULT_NODE, node_idx as u64, ctx);
-                }
+                self.pump_prrte(part, ctx);
+                victims
             }
-            FaultTarget::Srun => {
-                let node_idx = node_idx % self.cfg.nodes.max(1);
-                self.fault_alarm(
-                    "fault_node",
-                    Severity::Warning,
-                    Some(BackendKind::Srun),
-                    Some(0),
-                    f64::from(node_idx),
-                    format!("node {node_idx} of the srun allocation failed"),
-                );
+            BackendKind::Srun => {
                 let mut acts = std::mem::take(&mut self.scratch_srun);
                 let lost = self.site_srun.fail_node(node_idx, &mut acts);
-                self.process_srun_actions(&mut acts, ctx);
+                self.apply_actions(kind, 0, &mut acts, srun_msg, ctx);
                 Self::restore_scratch(&mut self.scratch_srun, acts);
-                for id in &lost {
-                    if let Some(sb) = self.srun_backend.as_mut() {
-                        if let Some((c, g)) = sb.holds.remove(*id) {
-                            sb.free_core_slots += c;
-                            sb.free_gpus += g;
+                for &id in &lost {
+                    self.release_srun_hold(id);
+                }
+                lost
+            }
+        };
+        for id in lost {
+            if kind == BackendKind::Dragon {
+                // A victim that never produced a `Started` event still
+                // holds a flow-control window slot no watcher event will
+                // return: free it and feed the park queue. (An Exec still
+                // queued at the watcher frees the slot on its own when it
+                // drains.)
+                let submitted = self
+                    .state
+                    .borrow()
+                    .tasks
+                    .get(id)
+                    .is_some_and(|r| r.state == TaskState::Submitted);
+                let exec_pending = self.watcher_q[BackendKind::Dragon as usize]
+                    .iter()
+                    .any(|ev| matches!(ev, WatcherEvent::Exec(x, _) if x.0 == id));
+                if submitted && !exec_pending {
+                    self.dragon_inflight[p] = self.dragon_inflight[p].saturating_sub(1);
+                    if let Some(next) = self.dragon_parked[p].pop_front() {
+                        if self.dragon[p].is_alive() {
+                            self.push_to_dragon(part, next, ctx);
+                        } else {
+                            self.fail_task(next, true, ctx);
                         }
                     }
                 }
-                for id in lost {
-                    self.fail_task_fault(
-                        TaskId(id),
-                        rp_lineage::FAULT_NODE,
-                        u64::from(node_idx),
-                        ctx,
-                    );
-                }
-                self.pump_srun_backend(ctx);
             }
+            self.fail_task_fault(TaskId(id), rp_lineage::FAULT_NODE, u64::from(node_idx), ctx);
+        }
+        if kind == BackendKind::Srun {
+            self.pump_srun_backend(ctx);
         }
     }
 
     /// Bring a previously failed node back into its partition's pool.
     fn fault_restore_node(&mut self, partition: u32, node_idx: u32, ctx: &mut Ctx<AgentMsg>) {
-        match self.fault_target(partition) {
-            FaultTarget::Flux(idx) => {
-                let node_idx = node_idx % self.flux[idx].allocation().count.max(1);
-                let now = ctx.now();
+        let Instance { kind, part, nodes } = self.fault_target(partition);
+        let (p, node_idx) = (part as usize, node_idx % nodes.max(1));
+        match kind {
+            BackendKind::Flux => {
                 let mut acts = std::mem::take(&mut self.scratch_flux);
-                self.flux[idx].node_up(now, node_idx, &mut acts);
-                self.process_flux_actions(idx as u32, &mut acts, ctx);
+                self.flux[p].node_up(ctx.now(), node_idx, &mut acts);
+                self.apply_actions(kind, part, &mut acts, AgentMsg::Flux, ctx);
                 Self::restore_scratch(&mut self.scratch_flux, acts);
-                self.fault_alarm(
-                    "fault_node_cleared",
-                    Severity::Info,
-                    Some(BackendKind::Flux),
-                    Some(idx as u32),
-                    f64::from(node_idx),
-                    format!("node {node_idx} of flux partition {idx} restored"),
-                );
             }
-            FaultTarget::Dragon(idx) => {
-                let node_idx = node_idx % self.dragon_allocs[idx].count.max(1);
+            BackendKind::Dragon => {
                 let mut acts = std::mem::take(&mut self.scratch_dragon);
-                self.dragon[idx].node_up(node_idx, &mut acts);
-                self.process_dragon_actions(idx as u32, &mut acts, ctx);
+                self.dragon[p].node_up(node_idx, &mut acts);
+                self.apply_actions(kind, part, &mut acts, AgentMsg::Dragon, ctx);
                 Self::restore_scratch(&mut self.scratch_dragon, acts);
-                self.fault_alarm(
-                    "fault_node_cleared",
-                    Severity::Info,
-                    Some(BackendKind::Dragon),
-                    Some(idx as u32),
-                    f64::from(node_idx),
-                    format!("node {node_idx} of dragon partition {idx} restored"),
-                );
             }
-            FaultTarget::Prrte(idx) => {
-                let node_idx = node_idx as usize % self.prrte[idx].pool.node_count().max(1);
-                if self.prrte[idx].pool.node_up(node_idx) {
-                    self.pump_prrte(idx as u32, ctx);
-                    self.fault_alarm(
-                        "fault_node_cleared",
-                        Severity::Info,
-                        Some(BackendKind::Prrte),
-                        Some(idx as u32),
-                        node_idx as f64,
-                        format!("node {node_idx} of prrte partition {idx} restored"),
-                    );
+            BackendKind::Prrte => {
+                if !self.prrte[p].pool.node_up(node_idx as usize) {
+                    return; // not down: nothing to restore
                 }
+                self.pump_prrte(part, ctx);
             }
-            FaultTarget::Srun => {
-                // The site srun models a site-wide RPC ceiling, not
-                // per-node slots: nothing was removed at failure time, so
-                // restoration is a no-op.
-            }
+            // The site srun models a site-wide RPC ceiling, not per-node
+            // slots: nothing was removed at failure time, so restoration
+            // is a no-op.
+            BackendKind::Srun => return,
         }
+        self.fault_alarm(
+            "fault_node_cleared",
+            Severity::Info,
+            Some(kind),
+            Some(part),
+            f64::from(node_idx),
+            format!("node {node_idx} of {kind} partition {part} restored"),
+        );
     }
 
     /// Crash a whole backend instance via the chaos plane.
     fn fault_crash(&mut self, partition: u32, ctx: &mut Ctx<AgentMsg>) {
-        let (kind, idx) = match self.fault_target(partition) {
-            FaultTarget::Flux(i) => (BackendKind::Flux, i),
-            FaultTarget::Dragon(i) => (BackendKind::Dragon, i),
-            FaultTarget::Prrte(i) => (BackendKind::Prrte, i),
-            // Srun is not instance-structured; plan generation degrades
-            // crashes to node failures there, so this is unreachable in
-            // practice — ignore defensively.
-            FaultTarget::Srun => return,
-        };
-        let alive = match kind {
-            BackendKind::Flux => self.flux[idx].is_alive(),
-            BackendKind::Dragon => self.dragon[idx].is_alive(),
-            BackendKind::Prrte => self.prrte[idx].dvm.is_alive(),
-            BackendKind::Srun => unreachable!(),
-        };
-        if !alive {
-            return; // already down; nothing new to kill
+        let Instance { kind, part, .. } = self.fault_target(partition);
+        // Srun is not instance-structured; plan generation degrades
+        // crashes to node failures there, so srun is unreachable in
+        // practice — ignore it defensively, like an already-dead instance.
+        if kind == BackendKind::Srun || !self.is_alive(kind, part) {
+            return;
         }
         self.note_fault(rp_lineage::FAULT_CRASH);
         self.fault_alarm(
             "fault_crash",
             Severity::Critical,
             Some(kind),
-            Some(idx as u32),
+            Some(part),
             0.0,
-            format!("{kind} partition {idx} crashed"),
+            format!("{kind} partition {part} crashed"),
         );
-        let lost = self.kill_instance_collect(kind, idx as u32, ctx);
+        let lost = self.kill_instance_collect(kind, part, ctx);
         for t in lost {
             self.fail_task_fault(t, rp_lineage::FAULT_CRASH, rp_lineage::NO_VALUE, ctx);
         }
@@ -3042,60 +2890,19 @@ impl SimAgent {
     /// re-readiness (which does NOT re-fire pilot activation — see
     /// [`Self::mark_instance_ready`]).
     fn fault_restart(&mut self, partition: u32, ctx: &mut Ctx<AgentMsg>) {
-        match self.fault_target(partition) {
-            FaultTarget::Flux(idx) => {
-                if self.flux[idx].is_alive() {
-                    return;
-                }
-                let mut acts = std::mem::take(&mut self.scratch_flux);
-                self.flux[idx].restart(&mut acts);
-                self.process_flux_actions(idx as u32, &mut acts, ctx);
-                Self::restore_scratch(&mut self.scratch_flux, acts);
-                self.fault_alarm(
-                    "fault_crash_cleared",
-                    Severity::Info,
-                    Some(BackendKind::Flux),
-                    Some(idx as u32),
-                    0.0,
-                    format!("flux partition {idx} restarting"),
-                );
-            }
-            FaultTarget::Dragon(idx) => {
-                if self.dragon[idx].is_alive() {
-                    return;
-                }
-                let mut acts = std::mem::take(&mut self.scratch_dragon);
-                self.dragon[idx].restart(&mut acts);
-                self.process_dragon_actions(idx as u32, &mut acts, ctx);
-                Self::restore_scratch(&mut self.scratch_dragon, acts);
-                self.fault_alarm(
-                    "fault_crash_cleared",
-                    Severity::Info,
-                    Some(BackendKind::Dragon),
-                    Some(idx as u32),
-                    0.0,
-                    format!("dragon partition {idx} restarting"),
-                );
-            }
-            FaultTarget::Prrte(idx) => {
-                if self.prrte[idx].dvm.is_alive() {
-                    return;
-                }
-                let mut acts = std::mem::take(&mut self.scratch_prrte);
-                self.prrte[idx].dvm.restart(&mut acts);
-                self.process_prrte_actions(idx as u32, &mut acts, ctx);
-                Self::restore_scratch(&mut self.scratch_prrte, acts);
-                self.fault_alarm(
-                    "fault_crash_cleared",
-                    Severity::Info,
-                    Some(BackendKind::Prrte),
-                    Some(idx as u32),
-                    0.0,
-                    format!("prrte partition {idx} restarting"),
-                );
-            }
-            FaultTarget::Srun => {}
+        let Instance { kind, part, .. } = self.fault_target(partition);
+        if kind == BackendKind::Srun || self.is_alive(kind, part) {
+            return;
         }
+        self.bring_up(kind, part, true, ctx);
+        self.fault_alarm(
+            "fault_crash_cleared",
+            Severity::Info,
+            Some(kind),
+            Some(part),
+            0.0,
+            format!("{kind} partition {part} restarting"),
+        );
     }
 
     /// Watchdog fired for a planned hang victim: if the task never
@@ -3195,31 +3002,14 @@ impl Actor<AgentMsg> for SimAgent {
                 }
                 // Launch backend instances on persistent srun slots.
                 let mut acts = std::mem::take(&mut self.scratch_srun);
-                for i in 0..self.flux.len() {
-                    let nodes = self.flux[i].allocation().count;
+                for inst in &self.instances {
                     self.site_srun.submit_persistent(
-                        StepId(FLUX_INFRA_BASE + i as u64),
-                        nodes,
+                        infra_step(inst.kind, inst.part),
+                        inst.nodes,
                         &mut acts,
                     );
                 }
-                for i in 0..self.dragon.len() {
-                    let nodes = self.dragon_allocs[i].count;
-                    self.site_srun.submit_persistent(
-                        StepId(DRAGON_INFRA_BASE + i as u64),
-                        nodes,
-                        &mut acts,
-                    );
-                }
-                for i in 0..self.prrte.len() {
-                    let nodes = self.prrte[i].pool.node_count() as u32;
-                    self.site_srun.submit_persistent(
-                        StepId(PRRTE_INFRA_BASE + i as u64),
-                        nodes,
-                        &mut acts,
-                    );
-                }
-                self.process_srun_actions(&mut acts, ctx);
+                self.apply_actions(BackendKind::Srun, 0, &mut acts, srun_msg, ctx);
                 Self::restore_scratch(&mut self.scratch_srun, acts);
                 // Collect services (started once the pilot is active) and
                 // the initial workload.
@@ -3322,19 +3112,19 @@ impl Actor<AgentMsg> for SimAgent {
             AgentMsg::Srun(token) => {
                 let mut acts = std::mem::take(&mut self.scratch_srun);
                 self.site_srun.on_token(token, &mut acts);
-                self.process_srun_actions(&mut acts, ctx);
+                self.apply_actions(BackendKind::Srun, 0, &mut acts, srun_msg, ctx);
                 Self::restore_scratch(&mut self.scratch_srun, acts);
             }
             AgentMsg::Flux(part, token) => {
                 let mut acts = std::mem::take(&mut self.scratch_flux);
                 self.flux[part as usize].on_token(ctx.now(), token, &mut acts);
-                self.process_flux_actions(part, &mut acts, ctx);
+                self.apply_actions(BackendKind::Flux, part, &mut acts, AgentMsg::Flux, ctx);
                 Self::restore_scratch(&mut self.scratch_flux, acts);
             }
             AgentMsg::Dragon(part, token) => {
                 let mut acts = std::mem::take(&mut self.scratch_dragon);
                 self.dragon[part as usize].on_token(ctx.now(), token, &mut acts);
-                self.process_dragon_actions(part, &mut acts, ctx);
+                self.apply_actions(BackendKind::Dragon, part, &mut acts, AgentMsg::Dragon, ctx);
                 Self::restore_scratch(&mut self.scratch_dragon, acts);
             }
             AgentMsg::Prrte(part, token) => {
@@ -3342,7 +3132,7 @@ impl Actor<AgentMsg> for SimAgent {
                 self.prrte[part as usize]
                     .dvm
                     .on_token(ctx.now(), token, &mut acts);
-                self.process_prrte_actions(part, &mut acts, ctx);
+                self.apply_actions(BackendKind::Prrte, part, &mut acts, AgentMsg::Prrte, ctx);
                 Self::restore_scratch(&mut self.scratch_prrte, acts);
             }
             AgentMsg::WatcherDone(kind) => {

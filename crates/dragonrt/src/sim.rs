@@ -16,7 +16,7 @@ use rp_lineage::Lineage;
 use rp_metrics::{BackendInstruments, Registry};
 use rp_platform::{Allocation, Calibration};
 use rp_profiler::{Profiler, Sym};
-use rp_sim::{Dist, FxHashMap, RngStream, SimDuration, SimTime, StaleTokens};
+use rp_sim::{Action, Dist, FxHashMap, RngStream, SimDuration, SimTime, StaleTokens};
 use std::collections::VecDeque;
 
 /// Lineage backend code for dragon (`BackendKind::Dragon as u8`).
@@ -58,24 +58,6 @@ pub enum DragonToken {
     Dispatched(u64),
     /// Task payload finished.
     Done(u64),
-}
-
-/// Effects requested by the runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DragonAction {
-    /// Deliver `token` after `after`.
-    Timer {
-        /// Delay until delivery.
-        after: SimDuration,
-        /// Token to deliver.
-        token: DragonToken,
-    },
-    /// Runtime finished booting.
-    Ready,
-    /// Task began executing (throughput counts these).
-    Started(u64),
-    /// Task finished; its workers freed.
-    Completed(u64),
 }
 
 /// The simulated runtime.
@@ -268,7 +250,7 @@ impl DragonSim {
     /// `node_up`). Lost tasks were already returned by [`DragonSim::kill`];
     /// stale timer tokens are swallowed. The RNG stream continues, keeping
     /// the run deterministic.
-    pub fn restart(&mut self, out: &mut Vec<DragonAction>) {
+    pub fn restart(&mut self, out: &mut Vec<Action<DragonToken>>) {
         assert!(!self.alive, "restart of a live runtime");
         self.alive = true;
         self.ready = false;
@@ -282,7 +264,7 @@ impl DragonSim {
     /// on node `uid % alloc_nodes`. Victims are reaped (ids returned
     /// sorted), the node's workers leave the pool, and stale timers for the
     /// victims are tolerated. Empty when dead or the node is already down.
-    pub fn fail_node(&mut self, node_idx: u32, out: &mut Vec<DragonAction>) -> Vec<u64> {
+    pub fn fail_node(&mut self, node_idx: u32, out: &mut Vec<Action<DragonToken>>) -> Vec<u64> {
         let nodes = self.node_outage.len() as u64;
         if !self.alive || nodes == 0 || self.node_outage[node_idx as usize].is_some() {
             return Vec::new();
@@ -321,7 +303,7 @@ impl DragonSim {
 
     /// Restore a failed node: exactly the workers removed at failure time
     /// rejoin the pool. No-op while dead or when the node is not down.
-    pub fn node_up(&mut self, node_idx: u32, out: &mut Vec<DragonAction>) {
+    pub fn node_up(&mut self, node_idx: u32, out: &mut Vec<Action<DragonToken>>) {
         if !self.alive {
             return;
         }
@@ -368,17 +350,17 @@ impl DragonSim {
 
     /// Begin bootstrap (≈9 s on Frontier). Actions are appended to `out`
     /// — callers reuse one buffer so the hot path stays allocation-free.
-    pub fn boot(&mut self, out: &mut Vec<DragonAction>) {
+    pub fn boot(&mut self, out: &mut Vec<Action<DragonToken>>) {
         let cost = self.boot_cost.sample(&mut self.rng);
         self.booting = true;
-        out.push(DragonAction::Timer {
+        out.push(Action::Timer {
             after: cost,
             token: DragonToken::Booted,
         });
     }
 
     /// Submit a task (FIFO). Actions are appended to `out`.
-    pub fn submit(&mut self, task: DragonTask, out: &mut Vec<DragonAction>) {
+    pub fn submit(&mut self, task: DragonTask, out: &mut Vec<Action<DragonToken>>) {
         // Bound against the full in-service shape, not the outage-reduced
         // pool: a task wider than a temporarily degraded pool waits in the
         // queue until `node_up` instead of panicking.
@@ -413,7 +395,12 @@ impl DragonSim {
     }
 
     /// Deliver a timer token. Actions are appended to `out`.
-    pub fn on_token(&mut self, _now: SimTime, token: DragonToken, out: &mut Vec<DragonAction>) {
+    pub fn on_token(
+        &mut self,
+        _now: SimTime,
+        token: DragonToken,
+        out: &mut Vec<Action<DragonToken>>,
+    ) {
         if !self.alive {
             // Stale timers from before the crash: consume the markers so
             // they can't swallow fresh tokens after a restart.
@@ -436,7 +423,7 @@ impl DragonSim {
                 }
                 self.booting = false;
                 self.ready = true;
-                out.push(DragonAction::Ready);
+                out.push(Action::Ready);
                 self.pump(out);
             }
             DragonToken::Dispatched(id) => {
@@ -464,8 +451,8 @@ impl DragonSim {
                 if let Some(m) = &self.metrics {
                     m.on_started(id);
                 }
-                out.push(DragonAction::Started(id));
-                out.push(DragonAction::Timer {
+                out.push(Action::Started(id));
+                out.push(Action::Timer {
                     after: task.duration,
                     token: DragonToken::Done(id),
                 });
@@ -493,14 +480,14 @@ impl DragonSim {
                     self.prof
                         .instant_detail(s.comp, id, what, self.busy_workers() as f64);
                 }
-                out.push(DragonAction::Completed(id));
+                out.push(Action::Completed(id));
                 self.pump(out);
             }
         }
     }
 
     /// Dispatch the head task if the dispatcher and enough workers are free.
-    fn pump(&mut self, out: &mut Vec<DragonAction>) {
+    fn pump(&mut self, out: &mut Vec<Action<DragonToken>>) {
         if !self.ready || self.dispatch_busy {
             return;
         }
@@ -561,7 +548,7 @@ impl DragonSim {
             self.exec_cost.sample(&mut self.rng)
         };
         self.in_flight.insert(task.id, task);
-        out.push(DragonAction::Timer {
+        out.push(Action::Timer {
             after: cost,
             token: DragonToken::Dispatched(task.id),
         });
@@ -593,18 +580,18 @@ mod tests {
         let mut seq = 0u64;
         let mut starts = Vec::new();
         let mut peak_busy = 0u64;
-        let sink = |acts: Vec<DragonAction>,
+        let sink = |acts: Vec<Action<DragonToken>>,
                     now: u64,
                     heap: &mut BinaryHeap<Reverse<(u64, u64, DragonToken)>>,
                     seq: &mut u64,
                     starts: &mut Vec<f64>| {
             for a in acts {
                 match a {
-                    DragonAction::Timer { after, token } => {
+                    Action::Timer { after, token } => {
                         heap.push(Reverse((now + after.as_micros(), *seq, token)));
                         *seq += 1;
                     }
-                    DragonAction::Started(_) => starts.push(now as f64 / 1e6),
+                    Action::Started(_) => starts.push(now as f64 / 1e6),
                     _ => {}
                 }
             }
@@ -748,7 +735,7 @@ mod tests {
             sim.submit(t, &mut acts);
         }
         for a in acts.drain(..) {
-            if let DragonAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -765,7 +752,7 @@ mod tests {
                 assert_eq!(sim.worker_capacity(), 56, "one node's workers gone");
             }
             for a in acts.drain(..) {
-                if let DragonAction::Timer { after, token } = a {
+                if let Action::Timer { after, token } = a {
                     heap.push(Reverse((t + after.as_micros(), seq, token)));
                     seq += 1;
                 }
@@ -789,7 +776,7 @@ mod tests {
             );
         }
         for a in acts.drain(..) {
-            if let DragonAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -797,7 +784,7 @@ mod tests {
         while let Some(Reverse((t, _, tok))) = heap.pop() {
             sim.on_token(SimTime::from_micros(t), tok, &mut acts);
             for a in acts.drain(..) {
-                if let DragonAction::Timer { after, token } = a {
+                if let Action::Timer { after, token } = a {
                     heap.push(Reverse((t + after.as_micros(), seq, token)));
                     seq += 1;
                 }
@@ -819,7 +806,7 @@ mod tests {
             sim.submit(t, &mut acts);
         }
         for a in acts.drain(..) {
-            if let DragonAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -834,7 +821,7 @@ mod tests {
                 assert!(!lost.is_empty());
             }
             for a in acts.drain(..) {
-                if let DragonAction::Timer { after, token } = a {
+                if let Action::Timer { after, token } = a {
                     heap.push(Reverse((t + after.as_micros(), seq, token)));
                     seq += 1;
                 }
@@ -856,7 +843,7 @@ mod tests {
             );
         }
         for a in acts.drain(..) {
-            if let DragonAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((t0 + after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -864,7 +851,7 @@ mod tests {
         while let Some(Reverse((t, _, tok))) = heap.pop() {
             sim.on_token(SimTime::from_micros(t), tok, &mut acts);
             for a in acts.drain(..) {
-                if let DragonAction::Timer { after, token } = a {
+                if let Action::Timer { after, token } = a {
                     heap.push(Reverse((t + after.as_micros(), seq, token)));
                     seq += 1;
                 }
@@ -896,7 +883,7 @@ mod tests {
         let mut heap: BinaryHeap<Reverse<(u64, u64, DragonToken)>> = BinaryHeap::new();
         let mut seq = 0;
         for a in acts {
-            if let DragonAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -907,7 +894,7 @@ mod tests {
             if let Some(Reverse((t, _, tok))) = heap.pop() {
                 sim.on_token(SimTime::from_micros(t), tok, &mut step_acts);
                 for a in step_acts.drain(..) {
-                    if let DragonAction::Timer { after, token } = a {
+                    if let Action::Timer { after, token } = a {
                         heap.push(Reverse((t + after.as_micros(), seq, token)));
                         seq += 1;
                     }

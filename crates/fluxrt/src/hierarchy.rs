@@ -13,11 +13,11 @@
 //! every subtree ingest in parallel — the same tension the paper's
 //! `flux_n` experiment resolves empirically with flat partitions.
 
-use crate::instance::{FluxAction, FluxInstanceSim, FluxToken};
-use crate::job::{ExceptionKind, JobEvent, JobSpec};
+use crate::instance::{FluxInstanceSim, FluxToken};
+use crate::job::JobSpec;
 use crate::policy::SchedPolicy;
 use rp_platform::{Allocation, Calibration};
-use rp_sim::{Dist, RngStream, SimDuration, SimTime};
+use rp_sim::{Action, Dist, RngStream, SimTime};
 use std::collections::VecDeque;
 
 /// Reference to a tree node.
@@ -36,22 +36,6 @@ pub enum TreeToken {
     RouterDone(u32),
     /// A jobspec arrives at a node after a hop latency.
     Deliver(u32, bool, JobSpec),
-}
-
-/// Effects requested by the tree.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TreeAction {
-    /// Deliver `token` after `after`.
-    Timer {
-        /// Delay until delivery.
-        after: SimDuration,
-        /// Token to deliver.
-        token: TreeToken,
-    },
-    /// Every leaf finished booting.
-    Ready,
-    /// A job lifecycle event from some leaf.
-    Event(JobEvent),
 }
 
 struct RouterNode {
@@ -156,7 +140,7 @@ impl FluxTreeSim {
     }
 
     /// Boot every leaf concurrently.
-    pub fn boot(&mut self) -> Vec<TreeAction> {
+    pub fn boot(&mut self) -> Vec<Action<TreeToken>> {
         let mut out = Vec::new();
         let mut acts = Vec::new();
         for i in 0..self.leaves.len() {
@@ -167,7 +151,7 @@ impl FluxTreeSim {
     }
 
     /// Submit a jobspec at the root.
-    pub fn submit(&mut self, now: SimTime, job: JobSpec) -> Vec<TreeAction> {
+    pub fn submit(&mut self, now: SimTime, job: JobSpec) -> Vec<Action<TreeToken>> {
         // Root-level feasibility: reject jobs no leaf can ever host, so
         // they don't wedge a leaf queue after riding the whole tree down.
         let fits_somewhere = self
@@ -175,10 +159,10 @@ impl FluxTreeSim {
             .iter()
             .any(|l| l.allocation().pool().can_ever_fit(&job.req));
         if !fits_somewhere {
-            return vec![TreeAction::Event(JobEvent::Exception(
-                job.id,
-                ExceptionKind::Unsatisfiable,
-            ))];
+            return vec![Action::Failed {
+                id: job.id.0,
+                retryable: false,
+            }];
         }
         match self.root {
             NodeRef::Leaf(l) => {
@@ -196,7 +180,7 @@ impl FluxTreeSim {
     }
 
     /// Deliver a timer token.
-    pub fn on_token(&mut self, now: SimTime, token: TreeToken) -> Vec<TreeAction> {
+    pub fn on_token(&mut self, now: SimTime, token: TreeToken) -> Vec<Action<TreeToken>> {
         match token {
             TreeToken::Leaf(l, tok) => {
                 let mut acts = Vec::new();
@@ -237,16 +221,16 @@ impl FluxTreeSim {
                             NodeRef::Router(rr) => (rr, false),
                         };
                         let hop = self.hop_cost.sample(&mut self.rng);
-                        out.push(TreeAction::Timer {
+                        out.push(Action::Timer {
                             after: hop,
                             token: TreeToken::Deliver(idx, is_leaf, job),
                         });
                     }
                     None => {
-                        out.push(TreeAction::Event(JobEvent::Exception(
-                            job.id,
-                            ExceptionKind::Unsatisfiable,
-                        )));
+                        out.push(Action::Failed {
+                            id: job.id.0,
+                            retryable: false,
+                        });
                     }
                 }
                 out.extend(self.pump_router(r));
@@ -274,7 +258,7 @@ impl FluxTreeSim {
             .can_ever_fit(&job.req)
     }
 
-    fn pump_router(&mut self, r: u32) -> Vec<TreeAction> {
+    fn pump_router(&mut self, r: u32) -> Vec<Action<TreeToken>> {
         let router = &mut self.routers[r as usize];
         if router.busy || router.q.is_empty() {
             return Vec::new();
@@ -282,7 +266,7 @@ impl FluxTreeSim {
         router.busy = true;
         // Forwarding passes through the node's RPC server: one ingest cost.
         let cost = self.hop_cost.sample(&mut self.rng);
-        vec![TreeAction::Timer {
+        vec![Action::Timer {
             after: cost,
             token: TreeToken::RouterDone(r),
         }]
@@ -291,22 +275,24 @@ impl FluxTreeSim {
     fn map_leaf_actions(
         &mut self,
         leaf: u32,
-        acts: &mut Vec<FluxAction>,
-        out: &mut Vec<TreeAction>,
+        acts: &mut Vec<Action<FluxToken>>,
+        out: &mut Vec<Action<TreeToken>>,
     ) {
         for a in acts.drain(..) {
             match a {
-                FluxAction::Timer { after, token } => out.push(TreeAction::Timer {
+                Action::Timer { after, token } => out.push(Action::Timer {
                     after,
                     token: TreeToken::Leaf(leaf, token),
                 }),
-                FluxAction::Ready => {
+                Action::Ready => {
                     self.leaves_ready += 1;
                     if self.leaves_ready == self.leaves.len() {
-                        out.push(TreeAction::Ready);
+                        out.push(Action::Ready);
                     }
                 }
-                FluxAction::Event(e) => out.push(TreeAction::Event(e)),
+                Action::Started(id) => out.push(Action::Started(id)),
+                Action::Completed(id) => out.push(Action::Completed(id)),
+                Action::Failed { id, retryable } => out.push(Action::Failed { id, retryable }),
             }
         }
     }
@@ -318,6 +304,7 @@ mod tests {
     use crate::job::JobId;
     use crate::policy::EasyBackfill;
     use rp_platform::{frontier, ResourceRequest};
+    use rp_sim::SimDuration;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
@@ -347,7 +334,7 @@ mod tests {
         let mut tokens: std::collections::HashMap<u64, TreeToken> = Default::default();
         let mut seq = 0u64;
         let mut starts = Vec::new();
-        let sink = |acts: Vec<TreeAction>,
+        let sink = |acts: Vec<Action<TreeToken>>,
                     now: u64,
                     heap: &mut BinaryHeap<Reverse<(u64, u64)>>,
                     tokens: &mut std::collections::HashMap<u64, TreeToken>,
@@ -355,12 +342,12 @@ mod tests {
                     starts: &mut Vec<f64>| {
             for a in acts {
                 match a {
-                    TreeAction::Timer { after, token } => {
+                    Action::Timer { after, token } => {
                         heap.push(Reverse((now + after.as_micros(), *seq)));
                         tokens.insert(*seq, token);
                         *seq += 1;
                     }
-                    TreeAction::Event(JobEvent::Start(_)) => starts.push(now as f64 / 1e6),
+                    Action::Started(_) => starts.push(now as f64 / 1e6),
                     _ => {}
                 }
             }
@@ -444,10 +431,10 @@ mod tests {
         );
         assert!(matches!(
             acts.as_slice(),
-            [TreeAction::Event(JobEvent::Exception(
-                JobId(1),
-                ExceptionKind::Unsatisfiable
-            ))]
+            [Action::Failed {
+                id: 1,
+                retryable: false
+            }]
         ));
     }
 

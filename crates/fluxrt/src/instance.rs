@@ -19,13 +19,13 @@
 //! (FCFS or EASY backfill), and utilization numbers in the experiments are
 //! integrals over these holdings — not modeled constants.
 
-use crate::job::{ExceptionKind, JobEvent, JobId, JobSpec};
+use crate::job::{JobId, JobSpec};
 use crate::policy::{RunningJob, SchedPolicy};
 use rp_lineage::Lineage;
 use rp_metrics::{BackendInstruments, Registry};
 use rp_platform::{Allocation, Calibration, Placement, ResourcePool};
 use rp_profiler::{Profiler, Sym};
-use rp_sim::{Dist, FxHashMap, RngStream, SimDuration, SimTime, StaleTokens};
+use rp_sim::{Action, Dist, FxHashMap, RngStream, SimTime, StaleTokens};
 use std::collections::VecDeque;
 
 /// Lineage backend code for flux (`BackendKind::Flux as u8`).
@@ -62,22 +62,6 @@ pub enum FluxToken {
     Started(JobId),
     /// The job's payload finished.
     Done(JobId),
-}
-
-/// Effects requested by the instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FluxAction {
-    /// Deliver `token` back after `after`.
-    Timer {
-        /// Delay until delivery.
-        after: SimDuration,
-        /// Token to deliver.
-        token: FluxToken,
-    },
-    /// Instance finished booting.
-    Ready,
-    /// A job lifecycle event (RP's event subscription, Fig. 2 ④).
-    Event(JobEvent),
 }
 
 /// The simulated instance.
@@ -281,8 +265,8 @@ impl FluxInstanceSim {
 
     /// Simulate an instance crash (broker death): every job anywhere in the
     /// pipeline is lost and returned so the caller can fail/retry it. After
-    /// this the instance ignores stale timer tokens and rejects submits
-    /// with [`ExceptionKind::InstanceLost`].
+    /// this the instance ignores stale timer tokens and fails submits as
+    /// retryable.
     pub fn kill(&mut self) -> Vec<JobId> {
         self.alive = false;
         if let Some(s) = &self.syms {
@@ -347,7 +331,7 @@ impl FluxInstanceSim {
     /// [`FluxInstanceSim::kill`]; stale timer tokens from before the crash
     /// are swallowed. The RNG stream continues, keeping the run
     /// deterministic.
-    pub fn restart(&mut self, out: &mut Vec<FluxAction>) {
+    pub fn restart(&mut self, out: &mut Vec<Action<FluxToken>>) {
         assert!(!self.alive, "restart of a live instance");
         self.alive = true;
         self.ready = false;
@@ -366,7 +350,7 @@ impl FluxInstanceSim {
         &mut self,
         now: SimTime,
         node_idx: u32,
-        out: &mut Vec<FluxAction>,
+        out: &mut Vec<Action<FluxToken>>,
     ) -> Vec<JobId> {
         if !self.alive || !self.pool.node_down(node_idx as usize) {
             return Vec::new();
@@ -429,7 +413,7 @@ impl FluxInstanceSim {
     /// Restore a failed node: its capacity (including resources parked by
     /// frees during the outage) rejoins the pool and the scheduler is
     /// re-pumped. No-op while dead or when the node is not down.
-    pub fn node_up(&mut self, now: SimTime, node_idx: u32, out: &mut Vec<FluxAction>) {
+    pub fn node_up(&mut self, now: SimTime, node_idx: u32, out: &mut Vec<Action<FluxToken>>) {
         if self.alive && self.pool.node_up(node_idx as usize) {
             self.pump_match(now, out);
         }
@@ -501,10 +485,10 @@ impl FluxInstanceSim {
     /// Begin bootstrap (broker tree + modules; ≈20 s on Frontier).
     /// Actions are appended to `out` — callers reuse one buffer across
     /// every call so the per-event hot path stays allocation-free.
-    pub fn boot(&mut self, out: &mut Vec<FluxAction>) {
+    pub fn boot(&mut self, out: &mut Vec<Action<FluxToken>>) {
         let cost = self.bootstrap_cost.sample(&mut self.rng);
         self.booting = true;
-        out.push(FluxAction::Timer {
+        out.push(Action::Timer {
             after: cost,
             token: FluxToken::Booted,
         });
@@ -512,19 +496,19 @@ impl FluxInstanceSim {
 
     /// Submit a jobspec (RP Flux executor, Fig. 2 ②). Infeasible requests
     /// fail immediately with an exception rather than wedging the queue.
-    pub fn submit(&mut self, now: SimTime, job: JobSpec, out: &mut Vec<FluxAction>) {
+    pub fn submit(&mut self, now: SimTime, job: JobSpec, out: &mut Vec<Action<FluxToken>>) {
         if !self.alive {
-            out.push(FluxAction::Event(JobEvent::Exception(
-                job.id,
-                ExceptionKind::InstanceLost,
-            )));
+            out.push(Action::Failed {
+                id: job.id.0,
+                retryable: true,
+            });
             return;
         }
         if !self.pool.can_ever_fit(&job.req) {
-            out.push(FluxAction::Event(JobEvent::Exception(
-                job.id,
-                ExceptionKind::Unsatisfiable,
-            )));
+            out.push(Action::Failed {
+                id: job.id.0,
+                retryable: false,
+            });
             return;
         }
         if let Some(s) = &self.syms {
@@ -552,13 +536,12 @@ impl FluxInstanceSim {
                 (self.pending_ingest.len() + self.queue.len()) as u64,
             );
         }
-        out.push(FluxAction::Event(JobEvent::Submitted(JobId(uid))));
         self.pump_ingest(out);
         let _ = now;
     }
 
     /// Deliver a timer token. Actions are appended to `out`.
-    pub fn on_token(&mut self, now: SimTime, token: FluxToken, out: &mut Vec<FluxAction>) {
+    pub fn on_token(&mut self, now: SimTime, token: FluxToken, out: &mut Vec<Action<FluxToken>>) {
         if !self.alive {
             // Stale timers from before the crash: consume the stale markers
             // so they can't swallow fresh tokens after a restart.
@@ -585,7 +568,7 @@ impl FluxInstanceSim {
                 }
                 self.booting = false;
                 self.ready = true;
-                out.push(FluxAction::Ready);
+                out.push(Action::Ready);
                 self.pump_ingest(out);
             }
             FluxToken::Ingested => {
@@ -639,7 +622,6 @@ impl FluxInstanceSim {
                     m.on_accepted(id.0);
                 }
                 self.start_queue.push_back((job, placement));
-                out.push(FluxAction::Event(JobEvent::Alloc(id)));
                 self.pump_start(now, out);
                 self.pump_match(now, out);
             }
@@ -668,8 +650,8 @@ impl FluxInstanceSim {
                     .get(&id)
                     .expect("started job must be registered");
                 let duration = run.expected_end.saturating_since(now);
-                out.push(FluxAction::Event(JobEvent::Start(id)));
-                out.push(FluxAction::Timer {
+                out.push(Action::Started(id.0));
+                out.push(Action::Timer {
                     after: duration,
                     token: FluxToken::Done(id),
                 });
@@ -695,14 +677,14 @@ impl FluxInstanceSim {
                     self.prof
                         .instant_detail(s.comp, id.0, s.finish, self.pool.busy_cores() as f64);
                 }
-                out.push(FluxAction::Event(JobEvent::Finish(id)));
+                out.push(Action::Completed(id.0));
                 self.pump_match(now, out);
             }
         }
     }
 
     /// Keep the ingest server busy while jobs are pending.
-    fn pump_ingest(&mut self, out: &mut Vec<FluxAction>) {
+    fn pump_ingest(&mut self, out: &mut Vec<Action<FluxToken>>) {
         if !self.ready || self.ingest_busy || self.pending_ingest.is_empty() {
             return;
         }
@@ -713,14 +695,14 @@ impl FluxInstanceSim {
             self.open_ingest = Some(uid);
         }
         let cost = self.ingest_cost.sample(&mut self.rng);
-        out.push(FluxAction::Timer {
+        out.push(Action::Timer {
             after: cost,
             token: FluxToken::Ingested,
         });
     }
 
     /// Ask the policy for the next match while the match server is free.
-    fn pump_match(&mut self, now: SimTime, out: &mut Vec<FluxAction>) {
+    fn pump_match(&mut self, now: SimTime, out: &mut Vec<Action<FluxToken>>) {
         if !self.ready || self.match_busy || self.queue.is_empty() {
             return;
         }
@@ -778,14 +760,14 @@ impl FluxInstanceSim {
             self.open_match = Some(job.id.0);
         }
         let cost = self.match_cost.sample(&mut self.rng);
-        out.push(FluxAction::Timer {
+        out.push(Action::Timer {
             after: cost,
             token: FluxToken::Matched(job.id),
         });
     }
 
     /// Keep the start server busy while matched jobs wait.
-    fn pump_start(&mut self, now: SimTime, out: &mut Vec<FluxAction>) {
+    fn pump_start(&mut self, now: SimTime, out: &mut Vec<Action<FluxToken>>) {
         if self.start_busy || self.start_queue.is_empty() {
             return;
         }
@@ -816,7 +798,7 @@ impl FluxInstanceSim {
                 placement,
             },
         );
-        out.push(FluxAction::Timer {
+        out.push(Action::Timer {
             after: cost,
             token: FluxToken::Started(job.id),
         });
@@ -829,6 +811,7 @@ mod tests {
     use crate::job::JobId;
     use crate::policy::{EasyBackfill, Fcfs};
     use rp_platform::{frontier, ResourceRequest};
+    use rp_sim::SimDuration;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
@@ -851,23 +834,23 @@ mod tests {
 
     /// Mini event loop: boots the instance, submits all jobs at t=0, runs to
     /// quiescence. Returns timestamped job events (seconds).
-    fn drive(mut inst: FluxInstanceSim, jobs: Vec<JobSpec>) -> Vec<(f64, JobEvent)> {
+    fn drive(mut inst: FluxInstanceSim, jobs: Vec<JobSpec>) -> Vec<(f64, Action<FluxToken>)> {
         let mut heap: BinaryHeap<Reverse<(u64, u64, FluxToken)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut events = Vec::new();
-        let apply = |acts: Vec<FluxAction>,
+        let apply = |acts: Vec<Action<FluxToken>>,
                      now: u64,
                      heap: &mut BinaryHeap<Reverse<(u64, u64, FluxToken)>>,
                      seq: &mut u64,
-                     events: &mut Vec<(f64, JobEvent)>| {
+                     events: &mut Vec<(f64, Action<FluxToken>)>| {
             for a in acts {
                 match a {
-                    FluxAction::Timer { after, token } => {
+                    Action::Timer { after, token } => {
                         heap.push(Reverse((now + after.as_micros(), *seq, token)));
                         *seq += 1;
                     }
-                    FluxAction::Event(e) => events.push((now as f64 / 1e6, e)),
-                    FluxAction::Ready => {}
+                    Action::Ready => {}
+                    e => events.push((now as f64 / 1e6, e)),
                 }
             }
         };
@@ -904,10 +887,10 @@ mod tests {
         events
     }
 
-    fn starts(events: &[(f64, JobEvent)]) -> Vec<f64> {
+    fn starts(events: &[(f64, Action<FluxToken>)]) -> Vec<f64> {
         events
             .iter()
-            .filter(|(_, e)| matches!(e, JobEvent::Start(_)))
+            .filter(|(_, e)| matches!(e, Action::Started(_)))
             .map(|(t, _)| *t)
             .collect()
     }
@@ -975,7 +958,7 @@ mod tests {
         let mut acts = Vec::new();
         inst.boot(&mut acts);
         for a in acts.drain(..) {
-            if let FluxAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -983,7 +966,7 @@ mod tests {
         for j in jobs {
             inst.submit(SimTime::ZERO, j, &mut acts);
             for a in acts.drain(..) {
-                if let FluxAction::Timer { after, token } = a {
+                if let Action::Timer { after, token } = a {
                     heap.push(Reverse((after.as_micros(), seq, token)));
                     seq += 1;
                 }
@@ -992,7 +975,7 @@ mod tests {
         while let Some(Reverse((t, _, tok))) = heap.pop() {
             inst.on_token(SimTime::from_micros(t), tok, &mut acts);
             for a in acts.drain(..) {
-                if let FluxAction::Timer { after, token } = a {
+                if let Action::Timer { after, token } = a {
                     heap.push(Reverse((t + after.as_micros(), seq, token)));
                     seq += 1;
                 }
@@ -1010,14 +993,14 @@ mod tests {
         inst: &mut FluxInstanceSim,
         heap: &mut BinaryHeap<Reverse<(u64, u64, FluxToken)>>,
         seq: &mut u64,
-        mut hook: impl FnMut(u64, &mut FluxInstanceSim, &mut Vec<FluxAction>),
+        mut hook: impl FnMut(u64, &mut FluxInstanceSim, &mut Vec<Action<FluxToken>>),
     ) {
         let mut acts = Vec::new();
         while let Some(Reverse((t, _, tok))) = heap.pop() {
             inst.on_token(SimTime::from_micros(t), tok, &mut acts);
             hook(t, inst, &mut acts);
             for a in acts.drain(..) {
-                if let FluxAction::Timer { after, token } = a {
+                if let Action::Timer { after, token } = a {
                     heap.push(Reverse((t + after.as_micros(), *seq, token)));
                     *seq += 1;
                 }
@@ -1036,7 +1019,7 @@ mod tests {
         for j in jobs {
             inst.submit(SimTime::from_micros(at), j, &mut acts);
             for a in acts.drain(..) {
-                if let FluxAction::Timer { after, token } = a {
+                if let Action::Timer { after, token } = a {
                     heap.push(Reverse((at + after.as_micros(), *seq, token)));
                     *seq += 1;
                 }
@@ -1062,7 +1045,7 @@ mod tests {
         let mut acts = Vec::new();
         inst.boot(&mut acts);
         for a in acts.drain(..) {
-            if let FluxAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -1107,7 +1090,7 @@ mod tests {
         let mut acts = Vec::new();
         inst.boot(&mut acts);
         for a in acts.drain(..) {
-            if let FluxAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -1131,7 +1114,7 @@ mod tests {
         inst.restart(&mut acts);
         assert!(inst.is_alive());
         for a in acts.drain(..) {
-            if let FluxAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((t0 + after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -1166,10 +1149,10 @@ mod tests {
         );
         assert!(matches!(
             acts.as_slice(),
-            [FluxAction::Event(JobEvent::Exception(
-                JobId(99),
-                ExceptionKind::Unsatisfiable
-            ))]
+            [Action::Failed {
+                id: 99,
+                retryable: false
+            }]
         ));
         assert!(inst.is_idle());
     }
@@ -1205,7 +1188,7 @@ mod tests {
             let events = drive(instance(1, backfill), jobs);
             events
                 .iter()
-                .filter(|(_, e)| matches!(e, JobEvent::Finish(_)))
+                .filter(|(_, e)| matches!(e, Action::Completed(_)))
                 .map(|(t, _)| *t)
                 .fold(0.0f64, f64::max)
         };

@@ -3,8 +3,9 @@
 //! Mirrors the Flux job state machine (DEPEND → PRIORITY → SCHED → RUN →
 //! CLEANUP → INACTIVE) at the granularity the paper's experiments observe:
 //! submission, scheduling (resource match), start, and completion, with an
-//! exception path. RP subscribes to the emitted [`JobEvent`]s exactly as it
-//! subscribes to Flux's job-manager events in the real integration.
+//! exception path. An instance publishes start, finish and exception as
+//! [`rp_sim::Action`]s, which RP consumes exactly as it subscribes to
+//! Flux's job-manager events in the real integration.
 
 use rp_platform::ResourceRequest;
 use rp_sim::SimDuration;
@@ -43,30 +44,6 @@ pub enum JobState {
     Inactive,
     /// Failed (exception raised).
     Failed,
-}
-
-/// Lifecycle events published by an instance (Fig. 2 ④).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobEvent {
-    /// Accepted by rank 0 and enqueued for scheduling.
-    Submitted(JobId),
-    /// Resources allocated (scheduler match done).
-    Alloc(JobId),
-    /// Payload started executing.
-    Start(JobId),
-    /// Payload finished; resources freed.
-    Finish(JobId),
-    /// Job failed with an exception note.
-    Exception(JobId, ExceptionKind),
-}
-
-/// Why a job failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExceptionKind {
-    /// The request can never fit this instance's resources.
-    Unsatisfiable,
-    /// The instance is shutting down / crashed.
-    InstanceLost,
 }
 
 #[cfg(test)]

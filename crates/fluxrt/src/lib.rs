@@ -17,9 +17,9 @@ pub mod jobspec;
 pub mod policy;
 pub mod rt;
 
-pub use hierarchy::{FluxTreeSim, TreeAction, TreeToken};
-pub use instance::{FluxAction, FluxInstanceSim, FluxToken};
-pub use job::{ExceptionKind, JobEvent, JobId, JobSpec, JobState};
+pub use hierarchy::{FluxTreeSim, TreeToken};
+pub use instance::{FluxInstanceSim, FluxToken};
+pub use job::{JobId, JobSpec, JobState};
 pub use jobspec::{jobspec_string, parse_jobspec, JobspecError, JOBSPEC_VERSION};
 pub use policy::{EasyBackfill, Fcfs, RunningJob, SchedPolicy};
 pub use rt::{FluxRt, SubmitError};

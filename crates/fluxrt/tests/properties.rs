@@ -8,13 +8,12 @@
 //! Cases come from fixed-seed [`RngStream`]s so failures replay exactly.
 
 use rp_fluxrt::{
-    EasyBackfill, Fcfs, FluxAction, FluxInstanceSim, FluxToken, JobEvent, JobId, JobSpec,
-    RunningJob, SchedPolicy,
+    EasyBackfill, Fcfs, FluxInstanceSim, FluxToken, JobId, JobSpec, RunningJob, SchedPolicy,
 };
 use rp_platform::{
     frontier, Allocation, Calibration, PlacementPolicy, ResourcePool, ResourceRequest,
 };
-use rp_sim::{FxHashMap, RngStream, SimDuration, SimTime};
+use rp_sim::{Action, FxHashMap, RngStream, SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -338,7 +337,7 @@ fn instance_conserves_jobs() {
         let mut exceptions = 0usize;
         let mut feasible = 0usize;
 
-        let push = |acts: Vec<FluxAction>,
+        let push = |acts: Vec<Action<FluxToken>>,
                     now: u64,
                     heap: &mut BinaryHeap<Reverse<(u64, u64, FluxToken)>>,
                     seq: &mut u64,
@@ -347,13 +346,13 @@ fn instance_conserves_jobs() {
                     e: &mut usize| {
             for a in acts {
                 match a {
-                    FluxAction::Timer { after, token } => {
+                    Action::Timer { after, token } => {
                         heap.push(Reverse((now + after.as_micros(), *seq, token)));
                         *seq += 1;
                     }
-                    FluxAction::Event(JobEvent::Start(_)) => *s += 1,
-                    FluxAction::Event(JobEvent::Finish(_)) => *f += 1,
-                    FluxAction::Event(JobEvent::Exception(..)) => *e += 1,
+                    Action::Started(_) => *s += 1,
+                    Action::Completed(_) => *f += 1,
+                    Action::Failed { .. } => *e += 1,
                     _ => {}
                 }
             }

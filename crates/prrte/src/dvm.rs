@@ -16,7 +16,7 @@ use rp_lineage::Lineage;
 use rp_metrics::{BackendInstruments, Registry};
 use rp_platform::{Allocation, Calibration};
 use rp_profiler::{Profiler, Sym, NO_UID};
-use rp_sim::{Dist, FxHashMap, RngStream, SimDuration, SimTime, StaleTokens};
+use rp_sim::{Action, Dist, FxHashMap, RngStream, SimDuration, SimTime, StaleTokens};
 use std::collections::VecDeque;
 
 /// Lineage backend code for prrte (`BackendKind::Prrte as u8`).
@@ -54,24 +54,6 @@ pub enum PrrteToken {
     Launched(u64),
     /// Task payload finished.
     Done(u64),
-}
-
-/// Effects requested by the DVM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrrteAction {
-    /// Deliver `token` after `after`.
-    Timer {
-        /// Delay until delivery.
-        after: SimDuration,
-        /// Token to deliver.
-        token: PrrteToken,
-    },
-    /// DVM ready for `prun` traffic.
-    Ready,
-    /// Task payload started.
-    Started(u64),
-    /// Task payload finished.
-    Completed(u64),
 }
 
 /// The simulated DVM.
@@ -213,13 +195,13 @@ impl PrrteDvm {
 
     /// Start the DVM daemons. Actions are appended to `out` — callers
     /// reuse one buffer so the hot path stays allocation-free.
-    pub fn boot(&mut self, out: &mut Vec<PrrteAction>) {
+    pub fn boot(&mut self, out: &mut Vec<Action<PrrteToken>>) {
         if let Some(s) = &self.syms {
             self.prof.instant(s.comp, NO_UID, s.dvm_boot);
         }
         let cost = self.boot_cost.sample(&mut self.rng);
         self.booting = true;
-        out.push(PrrteAction::Timer {
+        out.push(Action::Timer {
             after: cost,
             token: PrrteToken::DvmReady,
         });
@@ -227,7 +209,7 @@ impl PrrteDvm {
 
     /// Bring a killed DVM back up. The RNG stream continues where it left
     /// off, so a fixed fault seed replays byte-identically.
-    pub fn restart(&mut self, out: &mut Vec<PrrteAction>) {
+    pub fn restart(&mut self, out: &mut Vec<Action<PrrteToken>>) {
         assert!(!self.alive, "restart of a live DVM");
         self.alive = true;
         self.ready = false;
@@ -276,7 +258,7 @@ impl PrrteDvm {
 
     /// Submit a placed task for launch (FIFO through the HNP). Actions
     /// are appended to `out`.
-    pub fn submit(&mut self, task: PrrteTask, out: &mut Vec<PrrteAction>) {
+    pub fn submit(&mut self, task: PrrteTask, out: &mut Vec<Action<PrrteToken>>) {
         if let Some(m) = &self.metrics {
             let contended = !self.ready || self.hnp_busy || !self.queue.is_empty();
             m.on_submit(task.id, self.queue.len(), contended);
@@ -350,7 +332,12 @@ impl PrrteDvm {
     }
 
     /// Deliver a timer token. Actions are appended to `out`.
-    pub fn on_token(&mut self, _now: SimTime, token: PrrteToken, out: &mut Vec<PrrteAction>) {
+    pub fn on_token(
+        &mut self,
+        _now: SimTime,
+        token: PrrteToken,
+        out: &mut Vec<Action<PrrteToken>>,
+    ) {
         if !self.alive {
             // Dead DVMs drop tokens, but must still consume the stale
             // markers — otherwise a fresh post-restart token of the same
@@ -377,7 +364,7 @@ impl PrrteDvm {
                 if let Some(s) = &self.syms {
                     self.prof.instant(s.comp, NO_UID, s.dvm_ready);
                 }
-                out.push(PrrteAction::Ready);
+                out.push(Action::Ready);
                 self.pump(out);
             }
             PrrteToken::Launched(id) => {
@@ -398,8 +385,8 @@ impl PrrteDvm {
                 if let Some(m) = &self.metrics {
                     m.on_started(id);
                 }
-                out.push(PrrteAction::Started(id));
-                out.push(PrrteAction::Timer {
+                out.push(Action::Started(id));
+                out.push(Action::Timer {
                     after: task.duration,
                     token: PrrteToken::Done(id),
                 });
@@ -418,12 +405,12 @@ impl PrrteDvm {
                     self.prof
                         .instant_detail(s.comp, id, s.finish, self.in_flight.len() as f64);
                 }
-                out.push(PrrteAction::Completed(id));
+                out.push(Action::Completed(id));
             }
         }
     }
 
-    fn pump(&mut self, out: &mut Vec<PrrteAction>) {
+    fn pump(&mut self, out: &mut Vec<Action<PrrteToken>>) {
         if !self.ready || self.hnp_busy {
             return;
         }
@@ -451,7 +438,7 @@ impl PrrteDvm {
         self.launching = Some(task.id);
         let cost = self.launch_cost.sample(&mut self.rng);
         self.in_flight.insert(task.id, task);
-        out.push(PrrteAction::Timer {
+        out.push(Action::Timer {
             after: cost,
             token: PrrteToken::Launched(task.id),
         });
@@ -481,18 +468,18 @@ mod tests {
         let mut heap: BinaryHeap<Reverse<(u64, u64, PrrteToken)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut starts = Vec::new();
-        let sink = |acts: Vec<PrrteAction>,
+        let sink = |acts: Vec<Action<PrrteToken>>,
                     now: u64,
                     heap: &mut BinaryHeap<Reverse<(u64, u64, PrrteToken)>>,
                     seq: &mut u64,
                     starts: &mut Vec<f64>| {
             for a in acts {
                 match a {
-                    PrrteAction::Timer { after, token } => {
+                    Action::Timer { after, token } => {
                         heap.push(Reverse((now + after.as_micros(), *seq, token)));
                         *seq += 1;
                     }
-                    PrrteAction::Started(_) => starts.push(now as f64 / 1e6),
+                    Action::Started(_) => starts.push(now as f64 / 1e6),
                     _ => {}
                 }
             }
@@ -591,7 +578,7 @@ mod tests {
             d.submit(t, &mut acts);
         }
         for a in acts.drain(..) {
-            if let PrrteAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -608,7 +595,7 @@ mod tests {
                 assert!(!d.reap(0), "already reaped");
             }
             for a in acts.drain(..) {
-                if let PrrteAction::Timer { after, token } = a {
+                if let Action::Timer { after, token } = a {
                     heap.push(Reverse((t + after.as_micros(), seq, token)));
                     seq += 1;
                 }
@@ -627,7 +614,7 @@ mod tests {
             );
         }
         for a in acts.drain(..) {
-            if let PrrteAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -635,7 +622,7 @@ mod tests {
         while let Some(Reverse((t, _, tok))) = heap.pop() {
             d.on_token(SimTime::from_micros(t), tok, &mut acts);
             for a in acts.drain(..) {
-                if let PrrteAction::Timer { after, token } = a {
+                if let Action::Timer { after, token } = a {
                     heap.push(Reverse((t + after.as_micros(), seq, token)));
                     seq += 1;
                 }
@@ -656,7 +643,7 @@ mod tests {
             d.submit(t, &mut acts);
         }
         for a in acts.drain(..) {
-            if let PrrteAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -671,7 +658,7 @@ mod tests {
                 assert!(!lost.is_empty());
             }
             for a in acts.drain(..) {
-                if let PrrteAction::Timer { after, token } = a {
+                if let Action::Timer { after, token } = a {
                     heap.push(Reverse((t + after.as_micros(), seq, token)));
                     seq += 1;
                 }
@@ -690,7 +677,7 @@ mod tests {
             );
         }
         for a in acts.drain(..) {
-            if let PrrteAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((t0 + after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -698,7 +685,7 @@ mod tests {
         while let Some(Reverse((t, _, tok))) = heap.pop() {
             d.on_token(SimTime::from_micros(t), tok, &mut acts);
             for a in acts.drain(..) {
-                if let PrrteAction::Timer { after, token } = a {
+                if let Action::Timer { after, token } = a {
                     heap.push(Reverse((t + after.as_micros(), seq, token)));
                     seq += 1;
                 }

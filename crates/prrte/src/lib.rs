@@ -11,5 +11,5 @@
 pub mod dvm;
 pub mod rt;
 
-pub use dvm::{PrrteAction, PrrteDvm, PrrteTask, PrrteToken};
+pub use dvm::{PrrteDvm, PrrteTask, PrrteToken};
 pub use rt::PrrteRt;

@@ -16,13 +16,16 @@
 //!   decoupled and runs stay reproducible;
 //! - [`dist`]: non-negative latency distributions (the calibration
 //!   vocabulary of `rp-platform`);
-//! - [`record`]: timestamped sample collection for post-run analytics.
+//! - [`record`]: timestamped sample collection for post-run analytics;
+//! - [`action`]: the effect vocabulary every backend sub-machine emits
+//!   to its driver.
 //!
 //! Scheduling and placement *logic* lives in the substrate crates and is
 //! shared with their real-threaded planes; only *time* is virtual here.
 
 #![warn(missing_docs)]
 
+pub mod action;
 pub mod clock;
 pub mod dist;
 pub mod engine;
@@ -33,6 +36,7 @@ pub mod stale;
 pub mod time;
 pub mod uidmap;
 
+pub use action::Action;
 pub use clock::SimClock;
 pub use dist::Dist;
 pub use engine::{Actor, ActorId, Ctx, Engine};

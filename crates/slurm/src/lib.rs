@@ -13,5 +13,5 @@ pub mod sim;
 pub mod step;
 
 pub use rt::SrunRt;
-pub use sim::{SrunAction, SrunSim, SrunToken};
+pub use sim::{SrunSim, SrunToken};
 pub use step::{StepId, StepRequest};

@@ -10,7 +10,7 @@
 //!    allocation's node count (`n^0.66`, fitted to the measured
 //!    152 → 61 t/s drop from 1 to 4 nodes).
 //!
-//! Being reactive (methods push [`SrunAction`]s into a caller-provided
+//! Being reactive (methods push [`Action`]s into a caller-provided
 //! buffer instead of touching a clock), the machine is driven by the DES
 //! engine in experiments and by plain unit tests without any engine at
 //! all. The out-parameter style lets the driver reuse one buffer across
@@ -21,7 +21,7 @@ use rp_lineage::Lineage;
 use rp_metrics::{BackendInstruments, Registry};
 use rp_platform::{Calibration, SrunSlots};
 use rp_profiler::{Profiler, Sym};
-use rp_sim::{FxHashMap, FxHashSet, RngStream, SimDuration, StaleTokens};
+use rp_sim::{Action, FxHashMap, FxHashSet, RngStream, SimDuration, StaleTokens};
 use std::collections::VecDeque;
 
 /// Lineage backend code for srun (`BackendKind::Srun as u8`).
@@ -42,23 +42,6 @@ pub enum SrunToken {
     Launched(StepId),
     /// Payload finished; the step exits and its slot frees.
     Exited(StepId),
-}
-
-/// Effects requested by the machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SrunAction {
-    /// Deliver `token` back after `after`.
-    Timer {
-        /// Delay until delivery.
-        after: SimDuration,
-        /// Token to deliver.
-        token: SrunToken,
-    },
-    /// The step's payload began executing (the paper's "execution start"
-    /// event — throughput counts these).
-    Started(StepId),
-    /// The step completed and released its slot.
-    Completed(StepId),
 }
 
 /// The simulated launcher.
@@ -174,7 +157,7 @@ impl SrunSim {
 
     /// Submit a step; it launches immediately if a slot is free, otherwise
     /// it queues FIFO. Actions are appended to `out`.
-    pub fn submit(&mut self, step: StepRequest, out: &mut Vec<SrunAction>) {
+    pub fn submit(&mut self, step: StepRequest, out: &mut Vec<Action<SrunToken>>) {
         if let Some(m) = &self.metrics {
             let contended =
                 !self.queue.is_empty() || self.slots.in_use() >= self.cal.srun_concurrency_ceiling;
@@ -199,7 +182,12 @@ impl SrunSim {
     /// Acquire a slot held indefinitely (used for the `srun`s that carry
     /// Flux/Dragon instance bootstraps). Queues like any other step; the
     /// driver gets `Started` when the slot is live.
-    pub fn submit_persistent(&mut self, id: StepId, step_nodes: u32, out: &mut Vec<SrunAction>) {
+    pub fn submit_persistent(
+        &mut self,
+        id: StepId,
+        step_nodes: u32,
+        out: &mut Vec<Action<SrunToken>>,
+    ) {
         self.queue.push_back(StepRequest {
             id,
             step_nodes,
@@ -212,7 +200,7 @@ impl SrunSim {
     }
 
     /// Release a persistent slot (instance teardown).
-    pub fn release_persistent(&mut self, id: StepId, out: &mut Vec<SrunAction>) {
+    pub fn release_persistent(&mut self, id: StepId, out: &mut Vec<Action<SrunToken>>) {
         match self.in_flight.remove(&id) {
             Some(None) => {
                 self.slots.release();
@@ -247,7 +235,7 @@ impl SrunSim {
     /// The concurrency ceiling is unaffected — it is a site-wide RPC limit,
     /// not node capacity — so there is no `node_up` counterpart here;
     /// queued steps are not resident anywhere and survive.
-    pub fn fail_node(&mut self, node_idx: u32, out: &mut Vec<SrunAction>) -> Vec<u64> {
+    pub fn fail_node(&mut self, node_idx: u32, out: &mut Vec<Action<SrunToken>>) -> Vec<u64> {
         let nodes = self.alloc_nodes.max(1) as u64;
         let mut lost: Vec<u64> = self
             .in_flight
@@ -280,7 +268,7 @@ impl SrunSim {
     }
 
     /// Deliver a timer token. Actions are appended to `out`.
-    pub fn on_token(&mut self, token: SrunToken, out: &mut Vec<SrunAction>) {
+    pub fn on_token(&mut self, token: SrunToken, out: &mut Vec<Action<SrunToken>>) {
         match token {
             SrunToken::Launched(id) if self.stale_launched.consume(&id) => {
                 // Orphan of a reaped attempt — swallowed. (If the uid was
@@ -299,13 +287,13 @@ impl SrunSim {
                     if let Some(m) = &self.metrics {
                         m.on_started(id.0);
                     }
-                    out.push(SrunAction::Started(id));
-                    out.push(SrunAction::Timer {
+                    out.push(Action::Started(id.0));
+                    out.push(Action::Timer {
                         after: d,
                         token: SrunToken::Exited(id),
                     });
                 }
-                Some(None) => out.push(SrunAction::Started(id)), // persistent hold
+                Some(None) => out.push(Action::Started(id.0)), // persistent hold
                 None => panic!("Launched token for unknown step {id:?}"),
             },
             SrunToken::Exited(id) => {
@@ -322,14 +310,14 @@ impl SrunSim {
                     self.prof
                         .instant_detail(s.comp, id.0, s.release, self.slots.in_use() as f64);
                 }
-                out.push(SrunAction::Completed(id));
+                out.push(Action::Completed(id.0));
                 self.pump(out);
             }
         }
     }
 
     /// Launch queued steps while slots are free.
-    fn pump(&mut self, out: &mut Vec<SrunAction>) {
+    fn pump(&mut self, out: &mut Vec<Action<SrunToken>>) {
         while let Some(head) = self.queue.front() {
             let head_id = head.id;
             if !self.slots.try_acquire() {
@@ -386,7 +374,7 @@ impl SrunSim {
             if !matches!(self.in_flight.get(&step.id), Some(None)) {
                 self.launching.insert(step.id);
             }
-            out.push(SrunAction::Timer {
+            out.push(Action::Timer {
                 after: overhead,
                 token: SrunToken::Launched(step.id),
             });
@@ -415,7 +403,7 @@ mod tests {
         let mut ends = Vec::new();
         let mut high_water = 0usize;
 
-        let apply = |actions: Vec<SrunAction>,
+        let apply = |actions: Vec<Action<SrunToken>>,
                      now: u64,
                      heap: &mut BinaryHeap<Reverse<(u64, u64, SrunToken)>>,
                      seq: &mut u64,
@@ -423,12 +411,13 @@ mod tests {
                      ends: &mut Vec<f64>| {
             for a in actions {
                 match a {
-                    SrunAction::Timer { after, token } => {
+                    Action::Timer { after, token } => {
                         heap.push(Reverse((now + after.as_micros(), *seq, token)));
                         *seq += 1;
                     }
-                    SrunAction::Started(_) => starts.push(now as f64 / 1e6),
-                    SrunAction::Completed(_) => ends.push(now as f64 / 1e6),
+                    Action::Started(_) => starts.push(now as f64 / 1e6),
+                    Action::Completed(_) => ends.push(now as f64 / 1e6),
+                    Action::Ready | Action::Failed { .. } => unreachable!("srun never emits these"),
                 }
             }
         };
@@ -515,7 +504,7 @@ mod tests {
         sim.release_persistent(StepId(10_000), &mut acts);
         assert!(acts.iter().any(|a| matches!(
             a,
-            SrunAction::Timer {
+            Action::Timer {
                 token: SrunToken::Launched(StepId(1)),
                 ..
             }
@@ -546,7 +535,7 @@ mod tests {
             );
         }
         for a in acts.drain(..) {
-            if let SrunAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -564,11 +553,11 @@ mod tests {
             }
             for a in acts.drain(..) {
                 match a {
-                    SrunAction::Timer { after, token } => {
+                    Action::Timer { after, token } => {
                         heap.push(Reverse((t + after.as_micros(), seq, token)));
                         seq += 1;
                     }
-                    SrunAction::Completed(_) => completed += 1,
+                    Action::Completed(_) => completed += 1,
                     _ => {}
                 }
             }
@@ -582,7 +571,7 @@ mod tests {
             sim.submit(StepRequest::serial(*uid, SimDuration::ZERO), &mut acts);
         }
         for a in acts.drain(..) {
-            if let SrunAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -591,11 +580,11 @@ mod tests {
             sim.on_token(tok, &mut acts);
             for a in acts.drain(..) {
                 match a {
-                    SrunAction::Timer { after, token } => {
+                    Action::Timer { after, token } => {
                         heap.push(Reverse((t + after.as_micros(), seq, token)));
                         seq += 1;
                     }
-                    SrunAction::Completed(_) => completed += 1,
+                    Action::Completed(_) => completed += 1,
                     _ => {}
                 }
             }
@@ -633,7 +622,7 @@ mod tests {
             acts.clear();
             sim.submit(StepRequest::serial(i, SimDuration::ZERO), &mut acts);
             for a in acts.drain(..) {
-                if let SrunAction::Timer {
+                if let Action::Timer {
                     token: SrunToken::Launched(id),
                     ..
                 } = a

@@ -4,8 +4,8 @@
 //! so failures replay exactly.
 
 use rp_platform::Calibration;
-use rp_sim::{RngStream, SimDuration};
-use rp_slurm::{SrunAction, SrunSim, SrunToken, StepId, StepRequest};
+use rp_sim::{Action, RngStream, SimDuration};
+use rp_slurm::{SrunSim, SrunToken, StepId, StepRequest};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -30,7 +30,7 @@ fn ceiling_and_fifo_hold() {
         let mut expected_completions = 0usize;
         let mut persistent_ids: Vec<u64> = Vec::new();
 
-        let sink = |acts: Vec<SrunAction>,
+        let sink = |acts: Vec<Action<SrunToken>>,
                     now: u64,
                     heap: &mut BinaryHeap<Reverse<(u64, u64, SrunToken)>>,
                     seq: &mut u64,
@@ -38,12 +38,13 @@ fn ceiling_and_fifo_hold() {
                     completed: &mut usize| {
             for a in acts {
                 match a {
-                    SrunAction::Timer { after, token } => {
+                    Action::Timer { after, token } => {
                         heap.push(Reverse((now + after.as_micros(), *seq, token)));
                         *seq += 1;
                     }
-                    SrunAction::Started(StepId(id)) => started.push(id),
-                    SrunAction::Completed(_) => *completed += 1,
+                    Action::Started(id) => started.push(id),
+                    Action::Completed(_) => *completed += 1,
+                    Action::Ready | Action::Failed { .. } => unreachable!("srun never emits these"),
                 }
             }
         };
