@@ -2496,9 +2496,17 @@ impl SimAgent {
             BackendKind::Prrte => {
                 let pb = &mut self.prrte[p];
                 let mut lost = pb.dvm.kill();
+                // The DVM's ranks die with it: free their RP-side
+                // placements, as a node fault does, so a restart finds the
+                // partition's live capacity. Ranks on down nodes park in
+                // the pool until their node returns.
+                for &id in &lost {
+                    if let Some(pl) = pb.placements.remove(id) {
+                        pb.pool.free(&pl);
+                    }
+                }
+                debug_assert!(pb.placements.is_empty(), "a placement outlived its DVM");
                 lost.extend(pb.waiting.drain(..).map(|t| t.0));
-                // The partition's nodes are gone with the DVM.
-                pb.placements.clear();
                 lost
             }
             BackendKind::Srun => panic!("srun is not an instance-structured backend"),

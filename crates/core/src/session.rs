@@ -1040,6 +1040,25 @@ mod tests {
         }
     }
 
+    /// A DVM crash frees the placements of the ranks it took down, so the
+    /// restarted DVM finds its partition's capacity and every task runs.
+    /// (It used to restart on an empty pool and strand 672 tasks.)
+    #[test]
+    fn chaos_prrte_crash_restores_capacity_on_restart() {
+        use rp_chaos::FaultSpec;
+        let tasks: Vec<TaskDescription> = (0..896)
+            .map(|i| TaskDescription::dummy(i, SimDuration::from_secs(120)))
+            .collect();
+        let spec =
+            FaultSpec::parse("nodes=0,crashes=1,hangs=0,window=40..300,restart=20,retries=6")
+                .unwrap();
+        let report = SimSession::with_tasks(PilotConfig::prrte(4).with_seed(1000), tasks)
+            .with_faults(spec, 64023, 896)
+            .run();
+        assert!(report.instances[0].killed, "the DVM must crash mid-run");
+        assert_eq!(report.done_tasks().count(), 896, "every task runs");
+    }
+
     #[test]
     fn faults_off_is_byte_identical_to_no_faults_call() {
         use rp_chaos::FaultSpec;

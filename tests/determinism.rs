@@ -330,6 +330,11 @@ fn glue_cells_match_committed_digests() {
             0x9b82_7058_1f68_4d69,
         ),
         (
+            "chaos prrte",
+            chaos_cell(PilotConfig::prrte(NODES).with_seed(1000)),
+            0xf304_7902_cb1c_0a53,
+        ),
+        (
             "chaos srun",
             chaos_cell(PilotConfig::srun(NODES).with_seed(1000)),
             0xa8ef_2563_53bc_7dec,
