@@ -1,4 +1,4 @@
-//! CI chaos soak: sweep fault seeds across two backends under a fixed
+//! CI chaos soak: sweep fault seeds across every backend under a fixed
 //! chaos spec. Every run must finish without panics and conserve its task
 //! set — each submitted uid appears exactly once and ends terminal, so
 //! `done + failed == submitted` on every seed. The final run records
@@ -36,6 +36,8 @@ fn main() {
     let backends: &[Backend] = &[
         ("flux", |n| PilotConfig::flux(n, 2)),
         ("dragon", PilotConfig::dragon),
+        ("prrte", PilotConfig::prrte),
+        ("srun", PilotConfig::srun),
     ];
     let total_runs = seeds * backends.len() as u64;
     let mut ran = 0u64;

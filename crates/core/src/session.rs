@@ -1041,8 +1041,8 @@ mod tests {
     }
 
     /// A DVM crash frees the placements of the ranks it took down, so the
-    /// restarted DVM finds its partition's capacity and every task runs.
-    /// (It used to restart on an empty pool and strand 672 tasks.)
+    /// restarted DVM finds its partition's capacity and every task runs;
+    /// a restart onto the pool the crash left full strands 672 of them.
     #[test]
     fn chaos_prrte_crash_restores_capacity_on_restart() {
         use rp_chaos::FaultSpec;
@@ -1057,6 +1057,59 @@ mod tests {
             .run();
         assert!(report.instances[0].killed, "the DVM must crash mid-run");
         assert_eq!(report.done_tasks().count(), 896, "every task runs");
+    }
+
+    /// Chaos partitions follow instance-report order whatever order the
+    /// backends are specified in: a crash of flat partition `p` kills
+    /// `report.instances[p]`.
+    #[test]
+    fn chaos_crash_targets_instance_report_order() {
+        use crate::backend::BackendSpec;
+        use rp_chaos::{FaultAction, FaultPlan, FaultSpec, PlanShape};
+        let spec = FaultSpec::parse("crashes=1,window=60..120,restart=never").unwrap();
+        let shape = PlanShape {
+            partitions: 2,
+            nodes_per_partition: 2,
+            instance_structured: true,
+            task_hint: 200,
+        };
+        let mut crashed = [false; 2];
+        for seed in 0..8 {
+            let target = FaultPlan::generate(&spec, seed, &shape)
+                .events
+                .iter()
+                .find_map(|e| match e.action {
+                    FaultAction::CrashBackend { partition } => Some(partition as usize),
+                    _ => None,
+                })
+                .expect("the plan crashes one partition");
+            let cfg = PilotConfig::new(
+                4,
+                vec![
+                    BackendSpec::Dragon { partitions: 1 },
+                    BackendSpec::Flux {
+                        partitions: 1,
+                        backfill: true,
+                    },
+                ],
+            );
+            let tasks: Vec<TaskDescription> = (0..200)
+                .map(|i| TaskDescription::dummy(i, SimDuration::from_secs(60)))
+                .collect();
+            let report = SimSession::with_tasks(cfg, tasks)
+                .with_faults(spec.clone(), seed, 200)
+                .run();
+            let killed: Vec<bool> = report.instances.iter().map(|i| i.killed).collect();
+            let mut want = vec![false; 2];
+            want[target] = true;
+            assert_eq!(killed, want, "seed {seed}: partition {target} crashed");
+            crashed[target] = true;
+        }
+        assert_eq!(
+            crashed,
+            [true, true],
+            "the seeds must crash both partitions"
+        );
     }
 
     #[test]

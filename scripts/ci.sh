@@ -10,6 +10,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
+# The benchmark package builds against the repo crates' public APIs (and
+# matches `AgentMsg` exhaustively) from a workspace of its own, so an API
+# break would otherwise surface only when the benchmark runs.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 # Metrics smoke: a quick deterministic run must produce a parseable
 # OpenMetrics document, and the snapshot diff vs the checked-in baseline
 # is ENFORCING — the simulation is seeded and deterministic, so any drift
@@ -53,10 +58,10 @@ test -s "$LINEAGE_DIR/blame_report.txt"
     > "$LINEAGE_DIR/diff_report.txt"
 grep -q "verdict: no blame segment moved" "$LINEAGE_DIR/diff_report.txt"
 
-# Chaos soak: 16 fault seeds x {flux, dragon} under a fixed fault spec.
-# Every run must finish without panics and conserve its task set (each
-# uid exactly once, every task terminal) — the binary asserts this and
-# exits nonzero otherwise. The final run writes lineage so a fault-killed
+# Chaos soak: 16 fault seeds x {flux, dragon, prrte, srun} under a fixed
+# fault spec. Every run must finish without panics and conserve its task
+# set (each uid exactly once, every task terminal) — the binary asserts
+# this and exits nonzero otherwise. The final run writes lineage so a fault-killed
 # task narrates through `rp-explain` (uploaded as a CI artifact in
 # ci.yml).
 CHAOS_DIR="${CHAOS_DIR:-$(mktemp -d)}"
