@@ -3,12 +3,12 @@
 //! Backends are reactive: a call into one (submit, boot, timer delivery,
 //! a fault) pushes the effects it requests into a caller-provided
 //! `Vec<Action<T>>`, where `T` is that backend's own timer token. The
-//! driver schedules timers and turns the lifecycle effects into task
-//! state transitions, so one driver path serves every backend.
+//! caller schedules the timers and turns the lifecycle effects into task
+//! state transitions, so one code path serves every backend.
 
 use crate::time::SimDuration;
 
-/// One effect a backend asks its driver to carry out.
+/// One effect a backend asks its caller to carry out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action<T> {
     /// Deliver `token` back to the backend after `after`.

@@ -18,7 +18,7 @@
 //!   vocabulary of `rp-platform`);
 //! - [`record`]: timestamped sample collection for post-run analytics;
 //! - [`action`]: the effect vocabulary every backend sub-machine emits
-//!   to its driver.
+//!   to its caller.
 //!
 //! Scheduling and placement *logic* lives in the substrate crates and is
 //! shared with their real-threaded planes; only *time* is virtual here.
