@@ -156,6 +156,13 @@ fn inactive_fault_plan_is_byte_identical_to_baseline() {
     }
 }
 
+/// FNV-1a over `text`.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 /// FNV-1a over every per-task record (its `Debug` rendering, in report
 /// order) followed by the full OpenMetrics text and, when the session
 /// records lineage, the lineage JSONL.
@@ -169,19 +176,44 @@ fn records_and_metrics_digest(session: SimSession) -> u64 {
     if let Some(lineage) = &report.lineage {
         text.push_str(&lineage.to_jsonl());
     }
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
+    fnv1a(&text)
 }
 
-/// Assert a table of `(cell, session, committed digest)` rows, reporting
-/// every row's digest on any mismatch so a deliberate model change can
-/// update the whole table from one failure message.
-fn assert_digests<const N: usize>(cells: [(&str, SimSession, u64); N]) {
+/// FNV-1a over every exported observability artifact of a run with all
+/// four recorders attached: the profile CSV, the Chrome trace, the
+/// OpenMetrics text, the lineage JSONL and the telemetry time-series and
+/// flight-recorder JSONL.
+fn observability_digest(session: SimSession) -> u64 {
+    let period = SimDuration::from_secs(60);
+    let report = session
+        .with_profiling(period)
+        .with_metrics(period)
+        .with_telemetry(period)
+        .with_lineage()
+        .run();
+    let profile = report.profile.expect("profile attached");
+    let telemetry = report.telemetry.expect("telemetry attached");
+    let mut text = profile.csv();
+    text.push_str(&profile.chrome_trace());
+    text.push_str(&report.metrics.expect("metrics attached").openmetrics());
+    text.push_str(&report.lineage.expect("lineage attached").to_jsonl());
+    text.push_str(&telemetry.timeseries_jsonl());
+    text.push_str(&telemetry.flight_recorder_jsonl());
+    fnv1a(&text)
+}
+
+/// Assert a table of `(cell, session)` rows against committed digests,
+/// reporting every row's digest on any mismatch so a deliberate model
+/// change can update the whole table from one failure message.
+fn assert_digests<const N: usize>(
+    cells: [(&str, SimSession); N],
+    committed: [u64; N],
+    digest: fn(SimSession) -> u64,
+) {
     let (mut got, mut want) = (String::new(), String::new());
-    for (name, session, digest) in cells {
-        let _ = writeln!(got, "{name}: {:#018x}", records_and_metrics_digest(session));
-        let _ = writeln!(want, "{name}: {digest:#018x}");
+    for ((name, session), committed) in cells.into_iter().zip(committed) {
+        let _ = writeln!(got, "{name}: {:#018x}", digest(session));
+        let _ = writeln!(want, "{name}: {committed:#018x}");
     }
     assert_eq!(got, want, "digest table drifted");
 }
@@ -200,24 +232,26 @@ fn assert_digests<const N: usize>(cells: [(&str, SimSession, u64); N]) {
 /// both digests as they are; a deliberate model change updates them.
 #[test]
 fn backfill_cells_match_committed_digests() {
-    assert_digests([
-        (
-            "hybrid",
-            SimSession::with_tasks(
-                PilotConfig::flux_dragon(16, 4).with_seed(1000),
-                mixed_workload(16, SimDuration::from_secs(360)),
+    assert_digests(
+        [
+            (
+                "hybrid",
+                SimSession::with_tasks(
+                    PilotConfig::flux_dragon(16, 4).with_seed(1000),
+                    mixed_workload(16, SimDuration::from_secs(360)),
+                ),
             ),
-            0xcb91_4704_71e2_5e01,
-        ),
-        (
-            "impeccable",
-            SimSession::new(
-                PilotConfig::flux(64, 1).with_seed(31),
-                Box::new(impeccable_campaign(ImpeccableParams::for_nodes(64))),
+            (
+                "impeccable",
+                SimSession::new(
+                    PilotConfig::flux(64, 1).with_seed(31),
+                    Box::new(impeccable_campaign(ImpeccableParams::for_nodes(64))),
+                ),
             ),
-            0x72c6_7fac_024e_41b4,
-        ),
-    ]);
+        ],
+        [0xcb91_4704_71e2_5e01, 0x72c6_7fac_024e_41b4],
+        records_and_metrics_digest,
+    );
 }
 
 /// A dummy campaign under [`CHAOS_SPEC`] (node fail/restore, a backend
@@ -235,15 +269,12 @@ fn chaos_cell(cfg: PilotConfig) -> SimSession {
         )
 }
 
-/// Cross-commit golden for every path between the agent and its
-/// backends: srun's direct launch path, PRRTE's RP-side placement,
-/// Dragon's flow-control window, sub-agent pipelines, injected instance
-/// kills, cancellation at each backend's queue, and the chaos plane's
-/// node, crash and hang faults per instance kind. A refactor of that glue
-/// must leave every digest as it is; a deliberate model change updates
-/// them.
-#[test]
-fn glue_cells_match_committed_digests() {
+/// Every path between the agent and its backends: srun's direct launch
+/// path, PRRTE's RP-side placement, Dragon's flow-control window,
+/// sub-agent pipelines, injected instance kills, cancellation at each
+/// backend's queue, and the chaos plane's node, crash and hang faults per
+/// instance kind.
+fn glue_cells() -> [(&'static str, SimSession); 11] {
     let dummy = |nodes: u32| dummy_workload(nodes, SimDuration::from_secs(90));
     let three_kinds = PilotConfig::new(
         8,
@@ -263,24 +294,21 @@ fn glue_cells_match_committed_digests() {
         kind,
         partition,
     };
-    assert_digests([
+    [
         (
             "srun null",
             SimSession::with_tasks(
                 PilotConfig::srun(NODES).with_seed(1000),
                 null_workload(NODES),
             ),
-            0x56c5_93f1_d073_2e85,
         ),
         (
             "prrte dummy",
             SimSession::with_tasks(PilotConfig::prrte(NODES).with_seed(1000), dummy(NODES)),
-            0xd771_6668_a2a5_0d40,
         ),
         (
             "dragon dummy",
             SimSession::with_tasks(PilotConfig::dragon(NODES).with_seed(1000), dummy(NODES)),
-            0x6b81_7a10_94a2_0e05,
         ),
         (
             "flux+dragon sub-agents",
@@ -290,7 +318,6 @@ fn glue_cells_match_committed_digests() {
                     .with_seed(1000),
                 mixed_workload(16, SimDuration::from_secs(60)),
             ),
-            0x7ce3_0539_c4f7_0d67,
         ),
         (
             "flux+dragon kills",
@@ -300,7 +327,6 @@ fn glue_cells_match_committed_digests() {
             )
             .inject_failure(kill(150, BackendKind::Flux, 1))
             .inject_failure(kill(200, BackendKind::Dragon, 0)),
-            0x9804_0181_ece9_6c98,
         ),
         (
             "least-loaded cancel",
@@ -308,7 +334,6 @@ fn glue_cells_match_committed_digests() {
                 SimTime::from_secs(60),
                 (0..task_count(8)).step_by(3).collect(),
             ),
-            0xd23f_a7b5_b85f_7114,
         ),
         (
             "srun cancel",
@@ -317,29 +342,74 @@ fn glue_cells_match_committed_digests() {
                     SimTime::from_secs(100),
                     (0..task_count(NODES)).step_by(2).collect(),
                 ),
-            0x7f42_a91e_aaa0_3388,
         ),
         (
             "chaos flux",
             chaos_cell(PilotConfig::flux(NODES, 2).with_seed(1000)),
-            0x9cfb_5657_2ded_af26,
         ),
         (
             "chaos dragon",
             chaos_cell(PilotConfig::dragon(NODES).with_seed(1000)),
-            0x9b82_7058_1f68_4d69,
         ),
         (
             "chaos prrte",
             chaos_cell(PilotConfig::prrte(NODES).with_seed(1000)),
-            0xf304_7902_cb1c_0a53,
         ),
         (
             "chaos srun",
             chaos_cell(PilotConfig::srun(NODES).with_seed(1000)),
-            0xa8ef_2563_53bc_7dec,
         ),
-    ]);
+    ]
+}
+
+/// Cross-commit golden for the agent-backend glue: per-task records,
+/// OpenMetrics and (chaos cells) lineage of every [`glue_cells`] row. A
+/// refactor of that glue must leave every digest as it is; a deliberate
+/// model change updates them.
+#[test]
+fn glue_cells_match_committed_digests() {
+    assert_digests(
+        glue_cells(),
+        [
+            0x56c5_93f1_d073_2e85,
+            0xd771_6668_a2a5_0d40,
+            0x6b81_7a10_94a2_0e05,
+            0x7ce3_0539_c4f7_0d67,
+            0x9804_0181_ece9_6c98,
+            0xd23f_a7b5_b85f_7114,
+            0x7f42_a91e_aaa0_3388,
+            0x9cfb_5657_2ded_af26,
+            0x9b82_7058_1f68_4d69,
+            0xf304_7902_cb1c_0a53,
+            0xa8ef_2563_53bc_7dec,
+        ],
+        records_and_metrics_digest,
+    );
+}
+
+/// Cross-commit golden for what the recorders export from the same
+/// cells: with profiler, metrics, telemetry and lineage all attached,
+/// every exported byte (profile CSV and Chrome trace included) must stay
+/// as it is under a refactor of where the hooks sit.
+#[test]
+fn glue_cells_match_committed_observability_digests() {
+    assert_digests(
+        glue_cells(),
+        [
+            0x35b4_ed8a_0190_fda0,
+            0x85ad_947c_ccae_b945,
+            0x527a_fab9_4a7b_8605,
+            0xeb88_a99b_f0c5_70fa,
+            0x8387_4af5_148d_4e49,
+            0x3e27_e10f_5dec_f61a,
+            0xf870_5a24_5d90_6616,
+            0x515e_1e97_fad9_9479,
+            0xa4af_592d_7720_c678,
+            0x9e42_4e54_2f9c_524e,
+            0x86af_2202_7fa5_4b53,
+        ],
+        observability_digest,
+    );
 }
 
 /// The harness applies the same fault plan to every rep and instruments
