@@ -22,6 +22,7 @@
 
 use crate::backend::{BackendKind, BackendSpec, ALL_BACKENDS};
 use crate::config::PilotConfig;
+use crate::observe::BackendObserver;
 use crate::pilot::PilotState;
 use crate::report::{InstanceReport, RunState};
 use crate::router::{Router, RoutingPolicy};
@@ -37,7 +38,7 @@ use rp_platform::{Allocation, Cluster, Placement, ResourcePool};
 use rp_profiler::{Profiler, Sym};
 use rp_prrte::{PrrteDvm, PrrteTask, PrrteToken};
 use rp_serving::{ServingOutcome, ServingState, ServingTaskKind};
-use rp_sim::{Action, Actor, Ctx, Dist, FxHashMap, RngStream, SimTime, UidMap};
+use rp_sim::{Action, Actor, Ctx, Dist, FxHashMap, Note, RngStream, SimTime, UidMap, What};
 use rp_slurm::{SrunSim, SrunToken, StepId, StepRequest};
 use rp_telemetry::{SampleInput, Severity, Telemetry};
 use std::cell::{Cell, RefCell};
@@ -170,9 +171,6 @@ struct PrrteBackend {
     pool: ResourcePool,
     waiting: VecDeque<TaskId>,
     placements: UidMap<Placement>,
-    /// Head task already blamed for the current RP-side placement stall
-    /// (one lineage PLACE_REJECT per distinct blocked head).
-    lin_reject: Option<u64>,
 }
 
 /// The srun execution backend: agent-side capacity accounting plus the
@@ -559,6 +557,9 @@ pub struct SimAgent {
     scratch_dragon: Vec<Action<DragonToken>>,
     scratch_prrte: Vec<Action<PrrteToken>>,
     total_partitions: u32,
+    /// Cores across every non-srun partition at deployment: the fixed
+    /// utilization denominator of the metrics and telemetry samplers.
+    partition_cores: f64,
     /// Runtime profiler (disabled unless [`Self::attach_profiler`] ran).
     prof: Profiler,
     psyms: Option<AgentProfSyms>,
@@ -576,8 +577,9 @@ pub struct SimAgent {
     /// Causal-lineage recorder (None unless [`Self::attach_lineage`] ran).
     /// Untracked runs pay exactly one `Option` check per hook site.
     lineage: Option<Lineage>,
-    /// Head task already blamed for the current srun capacity stall.
-    lin_srun_reject: Option<u64>,
+    /// Records what the backends note, into whichever recorders are
+    /// attached; slots are instance-report slots, then the site srun.
+    obs: BackendObserver,
     /// Fault-injection plane (None unless [`Self::enable_faults`] ran).
     chaos: Option<ChaosState>,
     /// Open-loop serving plane (None unless [`Self::enable_serving`] ran).
@@ -679,7 +681,6 @@ impl SimAgent {
                             pool: part.pool(),
                             waiting: VecDeque::new(),
                             placements: UidMap::default(),
-                            lin_reject: None,
                         }),
                         BackendSpec::Srun => unreachable!("handled above"),
                     }
@@ -716,7 +717,15 @@ impl SimAgent {
                 });
             }
         }
+        let obs = BackendObserver::new(
+            instances
+                .iter()
+                .map(|i| (i.kind, i.part))
+                .chain([(BackendKind::Srun, 0); 2]),
+        );
+        let partition_nodes: u32 = instances.iter().map(|i| i.nodes).sum();
         SimAgent {
+            partition_cores: (u64::from(partition_nodes) * u64::from(alloc.spec.cores)) as f64,
             router,
             state,
             descs: UidMap::default(),
@@ -763,16 +772,16 @@ impl SimAgent {
             gauge_tick: std::cell::Cell::new(0),
             tel_sample_mask: u64::MAX,
             lineage: None,
-            lin_srun_reject: None,
+            obs,
             chaos: None,
             serving: None,
         }
     }
 
     /// Attach a profiler: task-state and pilot-lifecycle instants plus
-    /// scheduler/adapter spans flow from the agent itself, and every backend
-    /// sub-machine is wired onto its own component track (`srun`, `flux.N`,
-    /// `dragon.N`, `prrte.N`). All names are interned here, once.
+    /// scheduler/adapter spans flow from the agent itself, and each backend
+    /// sub-machine's notes land on its own component track (`srun`,
+    /// `flux.N`, `dragon.N`, `prrte.N`). All names are interned here, once.
     pub fn attach_profiler(&mut self, prof: Profiler) {
         use TaskState::*;
         let states = [
@@ -793,23 +802,8 @@ impl SimAgent {
                 t_adapter[kind as usize] = Some(prof.intern(&format!("agent.adapter.{kind}")));
             }
         }
-        self.site_srun.attach_profiler(prof.clone(), "srun");
-        let mut part_tracks = Vec::new();
-        for (i, f) in self.flux.iter_mut().enumerate() {
-            let name = format!("flux.{i}");
-            f.attach_profiler(prof.clone(), &name);
-            part_tracks.push(prof.intern(&name));
-        }
-        for (i, d) in self.dragon.iter_mut().enumerate() {
-            let name = format!("dragon.{i}");
-            d.attach_profiler(prof.clone(), &name);
-            part_tracks.push(prof.intern(&name));
-        }
-        for (i, pb) in self.prrte.iter_mut().enumerate() {
-            let name = format!("prrte.{i}");
-            pb.dvm.attach_profiler(prof.clone(), &name);
-            part_tracks.push(prof.intern(&name));
-        }
+        let part_tracks = self.obs.attach_profiler(&prof);
+        self.observe_backends();
         self.psyms = Some(AgentProfSyms {
             comp: prof.intern("agent"),
             states,
@@ -861,9 +855,9 @@ impl SimAgent {
 
     /// Attach a metrics registry: dwell-time histograms and per-task span
     /// trees flow from the agent's state funnel, pipeline-server service
-    /// times from the pump sites, and every backend sub-machine records
-    /// submit/launch/complete latencies under its kind label (partitions
-    /// of one kind merge into a single distribution by registry dedup).
+    /// times from the pump sites, and every backend sub-machine's notes
+    /// become submit/launch/complete latencies under its kind label
+    /// (partitions of one kind merge into one distribution by dedup).
     pub fn attach_metrics(&mut self, reg: &Registry) {
         use TaskState::*;
         let dwell = [
@@ -902,16 +896,8 @@ impl SimAgent {
                 "Scheduling decisions routed to this backend kind",
             );
         }
-        self.site_srun.attach_metrics(reg, "srun");
-        for f in &mut self.flux {
-            f.attach_metrics(reg, "flux");
-        }
-        for d in &mut self.dragon {
-            d.attach_metrics(reg, "dragon");
-        }
-        for pb in &mut self.prrte {
-            pb.dvm.attach_metrics(reg, "prrte");
-        }
+        self.obs.attach_metrics(reg);
+        self.observe_backends();
         self.metrics = Some(AgentMetrics {
             dwell,
             entered: RefCell::new(FxHashMap::default()),
@@ -994,17 +980,7 @@ impl SimAgent {
             &[],
             "Busy fraction of non-srun partition cores, sampled periodically",
         );
-        let mut capacity = 0.0f64;
-        for f in &self.flux {
-            capacity += f.allocation().total_cores() as f64;
-        }
-        for d in &self.dragon {
-            capacity += d.worker_capacity() as f64;
-        }
-        for pb in &self.prrte {
-            capacity += pb.pool.total_cores() as f64;
-        }
-        let capacity = capacity.max(1.0);
+        let capacity = self.partition_cores.max(1.0);
         Box::new(move |_now| {
             depth_hist.observe(queue_depth.get());
             util_hist.observe(busy_cores.get() / capacity);
@@ -1023,23 +999,23 @@ impl SimAgent {
 
     /// Attach a causal-lineage recorder: the agent contributes pipeline
     /// milestones (submit, stage/schedule done, routing decisions, adapter
-    /// handoff, terminal states) and every backend sub-machine records its
-    /// own queue, placement, and launch events into the same stream.
+    /// handoff, terminal states) and every backend sub-machine's queue,
+    /// placement, and launch notes go into the same stream.
     /// Unlike telemetry's straggler cohort, lineage covers *every* task
     /// when attached — tail exemplars are unknowable in advance — and
     /// detached runs pay one `Option` check per hook site.
     pub fn attach_lineage(&mut self, lin: Lineage) {
-        self.site_srun.attach_lineage(lin.clone());
-        for (i, f) in self.flux.iter_mut().enumerate() {
-            f.attach_lineage(lin.clone(), i as u32);
-        }
-        for (i, d) in self.dragon.iter_mut().enumerate() {
-            d.attach_lineage(lin.clone(), i as u32);
-        }
-        for (i, pb) in self.prrte.iter_mut().enumerate() {
-            pb.dvm.attach_lineage(lin.clone(), i as u32);
-        }
+        self.obs.attach_lineage(lin.clone());
+        self.observe_backends();
         self.lineage = Some(lin);
+    }
+
+    /// Have every backend sub-machine report notes for [`Self::obs`].
+    fn observe_backends(&mut self) {
+        self.site_srun.observe();
+        self.flux.iter_mut().for_each(FluxInstanceSim::observe);
+        self.dragon.iter_mut().for_each(DragonSim::observe);
+        self.prrte.iter_mut().for_each(|pb| pb.dvm.observe());
     }
 
     /// Arm the fault-injection plane with a realized [`FaultPlan`]. Call
@@ -1205,18 +1181,7 @@ impl SimAgent {
             .expect("attach_telemetry first")
             .clone();
         let gauges = Rc::clone(&self.gauges);
-        // Fixed core capacity across non-srun partitions (denominator for
-        // collapse detection), mirroring `metrics_sampler`.
-        let mut capacity = 0.0f64;
-        for f in &self.flux {
-            capacity += f.allocation().total_cores() as f64;
-        }
-        for d in &self.dragon {
-            capacity += d.worker_capacity() as f64;
-        }
-        for pb in &self.prrte {
-            capacity += pb.pool.total_cores() as f64;
-        }
+        let capacity = self.partition_cores;
         Box::new(move |now| {
             let (busy_cores, busy_gpus) = gauges
                 .parts
@@ -1345,12 +1310,16 @@ impl SimAgent {
         }
     }
 
-    /// Instance-report slot of partition `part` of `kind`.
+    /// Instance-report slot of partition `part` of `kind`; the site srun,
+    /// which has no report, takes the slot past the table.
     fn slot(&self, kind: BackendKind, part: u32) -> usize {
         self.instances
             .iter()
             .position(|i| i.kind == kind && i.part == part)
-            .expect("deployed instance")
+            .unwrap_or_else(|| {
+                assert_eq!(kind, BackendKind::Srun, "deployed instance");
+                self.instances.len()
+            })
     }
 
     /// Whether partition `part` of `kind` is up; the site srun always is.
@@ -2090,47 +2059,20 @@ impl SimAgent {
     /// the partition's pool, then FIFO through the DVM's HNP).
     fn pump_prrte(&mut self, part: u32, ctx: &mut Ctx<AgentMsg>) {
         let mut acts = std::mem::take(&mut self.scratch_prrte);
+        let slot = self.slot(BackendKind::Prrte, part);
         {
             let pb = &mut self.prrte[part as usize];
             while let Some(&t) = pb.waiting.front() {
                 let desc = self.descs.get(t.0).expect("desc");
                 let Some(pl) = pb.pool.try_alloc(&desc.req) else {
-                    if let Some(l) = &self.lineage {
-                        // RP-side FCFS placement stalled: blame the head
-                        // once per distinct blocked task.
-                        if pb.lin_reject != Some(t.0) {
-                            pb.lin_reject = Some(t.0);
-                            let reason = if desc.req.total_cores() > pb.pool.free_cores() {
-                                rp_lineage::REJ_INSUFFICIENT_CORES
-                            } else if desc.req.total_gpus() > pb.pool.free_gpus() {
-                                rp_lineage::REJ_INSUFFICIENT_GPUS
-                            } else {
-                                rp_lineage::REJ_FRAGMENTATION
-                            };
-                            l.record_ctx(
-                                t.0,
-                                rp_lineage::EV_PLACE_REJECT,
-                                reason,
-                                BackendKind::Prrte as u8,
-                                part,
-                                pb.pool.free_cores(),
-                            );
-                        }
-                    }
+                    let (free, gpus) = (pb.pool.free_cores(), pb.pool.free_gpus());
+                    let why = desc.req.shortfall(free, gpus);
+                    self.obs.record(slot, t.0, What::Rejected(why), free);
                     break; // head-of-line wait for completions
                 };
                 pb.waiting.pop_front();
-                if let Some(l) = &self.lineage {
-                    pb.lin_reject = None;
-                    l.record_ctx(
-                        t.0,
-                        rp_lineage::EV_PLACE_OK,
-                        rp_lineage::NO_DETAIL,
-                        BackendKind::Prrte as u8,
-                        part,
-                        desc.req.total_cores(),
-                    );
-                }
+                self.obs
+                    .record(slot, t.0, What::Placed, desc.req.total_cores());
                 pb.placements.insert(t.0, pl);
                 pb.dvm.submit(
                     PrrteTask {
@@ -2157,43 +2099,17 @@ impl SimAgent {
             let desc = self.descs.get(t.0).expect("desc");
             let need_cores = desc.req.total_cores();
             let need_gpus = desc.req.total_gpus();
+            // RP's capacity queue in front of the launcher keeps its own
+            // blocked-head memory, in the slot after the launcher's.
+            let slot = self.instances.len() + 1;
             if need_cores > sb.free_core_slots || need_gpus > sb.free_gpus {
-                if let Some(l) = &self.lineage {
-                    // Agent-side srun capacity stall: blame the head once
-                    // per distinct blocked task.
-                    if self.lin_srun_reject != Some(t.0) {
-                        let reason = if need_cores > sb.free_core_slots {
-                            rp_lineage::REJ_INSUFFICIENT_CORES
-                        } else {
-                            rp_lineage::REJ_INSUFFICIENT_GPUS
-                        };
-                        l.record_ctx(
-                            t.0,
-                            rp_lineage::EV_PLACE_REJECT,
-                            reason,
-                            BackendKind::Srun as u8,
-                            0,
-                            sb.free_core_slots,
-                        );
-                    }
-                }
-                if self.lineage.is_some() {
-                    self.lin_srun_reject = Some(t.0);
-                }
+                let why = desc.req.shortfall(sb.free_core_slots, sb.free_gpus);
+                self.obs
+                    .record(slot, t.0, What::Rejected(why), sb.free_core_slots);
                 break; // wait for completions to free capacity
             }
             sb.waiting.pop_front();
-            if let Some(l) = &self.lineage {
-                self.lin_srun_reject = None;
-                l.record_ctx(
-                    t.0,
-                    rp_lineage::EV_PLACE_OK,
-                    rp_lineage::NO_DETAIL,
-                    BackendKind::Srun as u8,
-                    0,
-                    need_cores,
-                );
-            }
+            self.obs.record(slot, t.0, What::Placed, need_cores);
             sb.free_core_slots -= need_cores;
             sb.free_gpus -= need_gpus;
             sb.holds.insert(t.0, (need_cores, need_gpus));
@@ -2241,9 +2157,18 @@ impl SimAgent {
         ctx: &mut Ctx<AgentMsg>,
     ) {
         let now = ctx.now();
+        // Record every note before any effect: an effect can re-enter a
+        // backend (srun `Completed` pumps the launcher), and what that
+        // call notes must come after what this one noted.
+        for a in acts.iter() {
+            if let Action::Note(Note { id, what, value }) = *a {
+                self.obs.record(self.slot(kind, part), id, what, value);
+            }
+        }
         for a in acts.drain(..) {
             match a {
                 Action::Timer { after, token } => ctx.timer(after, msg(part, token)),
+                Action::Note(_) => {}
                 Action::Ready => {
                     if self.mark_instance_ready(self.slot(kind, part), now) {
                         self.instance_ready(ctx);
@@ -2450,6 +2375,10 @@ impl SimAgent {
                 }
                 None => false,
             };
+        if in_backend {
+            let (kind, part) = *self.assignment.get(t.0).expect("assigned");
+            self.obs.forget(self.slot(kind, part), [t.0]);
+        }
         if in_agent || in_backend {
             self.with_task(t, |rec| rec.advance(TaskState::Canceled, now));
             self.assignment.remove(t.0);
@@ -2512,6 +2441,7 @@ impl SimAgent {
             BackendKind::Srun => panic!("srun is not an instance-structured backend"),
         };
         let slot = self.slot(kind, part);
+        self.obs.kill(slot, &lost);
         let was_booting = {
             let mut st = self.state.borrow_mut();
             st.instances[slot].killed = true;
@@ -2749,6 +2679,8 @@ impl SimAgent {
             BackendKind::Flux => {
                 let mut acts = std::mem::take(&mut self.scratch_flux);
                 let lost = self.flux[p].fail_node(ctx.now(), node_idx, &mut acts);
+                self.obs
+                    .forget(self.slot(kind, part), lost.iter().map(|j| j.0));
                 self.apply_actions(kind, part, &mut acts, AgentMsg::Flux, ctx);
                 Self::restore_scratch(&mut self.scratch_flux, acts);
                 lost.into_iter().map(|JobId(id)| id).collect()
@@ -2756,6 +2688,7 @@ impl SimAgent {
             BackendKind::Dragon => {
                 let mut acts = std::mem::take(&mut self.scratch_dragon);
                 let lost = self.dragon[p].fail_node(node_idx, &mut acts);
+                self.obs.forget(self.slot(kind, part), lost.iter().copied());
                 self.apply_actions(kind, part, &mut acts, AgentMsg::Dragon, ctx);
                 Self::restore_scratch(&mut self.scratch_dragon, acts);
                 lost
@@ -2763,6 +2696,7 @@ impl SimAgent {
             BackendKind::Prrte => {
                 // Every resident whose placement touches the node is
                 // reaped.
+                let slot = self.slot(kind, part);
                 let pb = &mut self.prrte[p];
                 let victims: Vec<u64> = pb
                     .dvm
@@ -2782,12 +2716,14 @@ impl SimAgent {
                     }
                     pb.dvm.reap(id);
                 }
+                self.obs.reap(slot, victims.iter().copied());
                 self.pump_prrte(part, ctx);
                 victims
             }
             BackendKind::Srun => {
                 let mut acts = std::mem::take(&mut self.scratch_srun);
                 let lost = self.site_srun.fail_node(node_idx, &mut acts);
+                self.obs.forget(self.slot(kind, 0), lost.iter().copied());
                 self.apply_actions(kind, 0, &mut acts, srun_msg, ctx);
                 Self::restore_scratch(&mut self.scratch_srun, acts);
                 for &id in &lost {

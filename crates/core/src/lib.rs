@@ -20,6 +20,7 @@
 pub mod agent;
 pub mod backend;
 pub mod config;
+mod observe;
 pub mod pilot;
 pub mod report;
 pub mod router;

@@ -12,29 +12,15 @@
 //! usable core, no placement bookkeeping, FIFO dispatch with worker-pool
 //! backpressure.
 
-use rp_lineage::Lineage;
-use rp_metrics::{BackendInstruments, Registry};
 use rp_platform::{Allocation, Calibration};
-use rp_profiler::{Profiler, Sym};
-use rp_sim::{Action, Dist, FxHashMap, RngStream, SimDuration, SimTime, StaleTokens};
+use rp_sim::{
+    Action, Dist, FxHashMap, Notes, Reject, RngStream, SimDuration, SimTime, StaleTokens, What,
+};
 use std::collections::VecDeque;
 
-/// Lineage backend code for dragon (`BackendKind::Dragon as u8`).
-const LIN_BACKEND_DRAGON: u8 = 2;
-
-/// Interned profiler symbols: dispatch spans on `<comp>.dispatch` (the
-/// dispatcher is serial, so spans never overlap), lifecycle instants on
-/// the base track with function/process distinguished by event name.
-#[derive(Debug, Clone)]
-struct ProfSyms {
-    comp: Sym,
-    t_dispatch: Sym,
-    dispatch: Sym,
-    func_start: Sym,
-    func_finish: Sym,
-    proc_start: Sym,
-    proc_finish: Sym,
-}
+/// The dispatcher's serial-server number in [`What::Begin`] /
+/// [`What::End`] notes.
+const DISPATCH: u8 = 0;
 
 /// A task submitted to the Dragon runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,10 +70,8 @@ pub struct DragonSim {
     /// Deepest the dispatch queue has ever been.
     queued_peak: usize,
     alive: bool,
-    prof: Profiler,
-    syms: Option<ProfSyms>,
-    /// Uid in the dispatcher, closed on kill to keep B/E pairs matched.
-    open_dispatch: Option<u64>,
+    /// Off until [`DragonSim::observe`].
+    notes: Notes,
     /// The task the dispatcher currently holds (its `Dispatched` token is
     /// in flight); lets fault injection type the orphaned timer correctly.
     dispatching: Option<u64>,
@@ -100,11 +84,6 @@ pub struct DragonSim {
     stale_booted: u32,
     /// A `Booted` token is in flight.
     booting: bool,
-    metrics: Option<BackendInstruments>,
-    /// Lineage recorder plus this runtime's partition index.
-    lineage: Option<(Lineage, u32)>,
-    /// Last queue head a worker-backpressure reject was recorded for.
-    last_reject: Option<u64>,
 }
 
 impl DragonSim {
@@ -127,47 +106,21 @@ impl DragonSim {
             completed: 0,
             queued_peak: 0,
             alive: true,
-            prof: Profiler::disabled(),
-            syms: None,
-            open_dispatch: None,
+            notes: Notes::default(),
             dispatching: None,
             stale_dispatched: StaleTokens::default(),
             stale_done: StaleTokens::default(),
             stale_booted: 0,
             booting: false,
-            metrics: None,
-            lineage: None,
-            last_reject: None,
         }
     }
 
-    /// Attach a profiler; dispatch spans and start/finish instants are
-    /// recorded relative to the `comp` track from here on.
-    pub fn attach_profiler(&mut self, prof: Profiler, comp: &str) {
-        self.syms = Some(ProfSyms {
-            comp: prof.intern(comp),
-            t_dispatch: prof.intern(&format!("{comp}.dispatch")),
-            dispatch: prof.intern("dispatch"),
-            func_start: prof.intern("FUNC_START"),
-            func_finish: prof.intern("FUNC_FINISH"),
-            proc_start: prof.intern("PROC_START"),
-            proc_finish: prof.intern("PROC_FINISH"),
-        });
-        self.prof = prof;
-    }
-
-    /// Attach a lineage recorder for this runtime (`partition` is its
-    /// index within the dragon deployment). Dispatcher-queue entry,
-    /// worker-pool backpressure rejects, grants, and dispatch starts are
-    /// recorded from here on.
-    pub fn attach_lineage(&mut self, lin: Lineage, partition: u32) {
-        self.lineage = Some((lin, partition));
-    }
-
-    /// Attach metrics under the `backend` label: dispatch/launch latency,
-    /// execution time, queue depth and worker-pool contention.
-    pub fn attach_metrics(&mut self, reg: &Registry, backend: &str) {
-        self.metrics = Some(BackendInstruments::new(reg, backend));
+    /// Report [`rp_sim::Note`]s from here on: dispatcher-queue entry,
+    /// worker-pool backpressure rejects, grants, dispatch starts and the
+    /// dispatcher's service span (server 0), and payload start and finish
+    /// (function and process tasks apart).
+    pub fn observe(&mut self) {
+        self.notes = Notes::ON;
     }
 
     /// Total workers in the pool.
@@ -212,11 +165,6 @@ impl DragonSim {
     /// affected tasks to error states").
     pub fn kill(&mut self) -> Vec<u64> {
         self.alive = false;
-        if let Some(s) = &self.syms {
-            if let Some(uid) = self.open_dispatch.take() {
-                self.prof.end(s.t_dispatch, uid, s.dispatch);
-            }
-        }
         // Type the orphaned timers so their arrival (while dead, or after a
         // restart) is swallowed instead of panicking.
         let dispatching = self.dispatching.take();
@@ -237,11 +185,6 @@ impl DragonSim {
         self.dispatch_busy = false;
         self.free_workers = self.worker_capacity;
         lost.sort_unstable();
-        if let Some(m) = &self.metrics {
-            for id in &lost {
-                m.forget(*id);
-            }
-        }
         lost
     }
 
@@ -255,7 +198,6 @@ impl DragonSim {
         self.alive = true;
         self.ready = false;
         self.free_workers = self.worker_capacity;
-        self.last_reject = None;
         self.boot(out);
     }
 
@@ -285,9 +227,6 @@ impl DragonSim {
                 self.stale_dispatched.mark(*id);
             } else {
                 self.stale_done.mark(*id);
-            }
-            if let Some(m) = &self.metrics {
-                m.forget(*id);
             }
         }
         // The node takes its workers with it; victims' workers return to
@@ -322,9 +261,6 @@ impl DragonSim {
         }
         if let Some(pos) = self.queue.iter().position(|t| t.id == id) {
             self.queue.remove(pos);
-            if let Some(m) = &self.metrics {
-                m.forget(id);
-            }
             return true;
         }
         false
@@ -372,25 +308,15 @@ impl DragonSim {
             task.workers,
             full
         );
-        if let Some(m) = &self.metrics {
-            let contended = !self.ready
-                || self.dispatch_busy
-                || !self.queue.is_empty()
-                || task.workers as u64 > self.free_workers;
-            m.on_submit(task.id, self.queue.len(), contended);
-        }
+        let contended = !self.ready
+            || self.dispatch_busy
+            || !self.queue.is_empty()
+            || task.workers as u64 > self.free_workers;
         self.queue.push_back(task);
         self.queued_peak = self.queued_peak.max(self.queue.len());
-        if let Some((l, part)) = &self.lineage {
-            l.record_ctx(
-                task.id,
-                rp_lineage::EV_BACKEND_QUEUE,
-                rp_lineage::NO_DETAIL,
-                LIN_BACKEND_DRAGON,
-                *part,
-                self.queue.len() as u64,
-            );
-        }
+        let depth = self.queue.len() as u64;
+        self.notes
+            .push(out, task.id, What::Queued { contended }, depth);
         self.pump(out);
     }
 
@@ -437,20 +363,13 @@ impl DragonSim {
                 self.dispatch_busy = false;
                 self.dispatching = None;
                 let task = self.in_flight.get(&id).expect("dispatched unknown task");
-                if let Some(s) = &self.syms {
-                    self.prof.end(s.t_dispatch, id, s.dispatch);
-                    self.open_dispatch = None;
-                    let what = if task.is_function {
-                        s.func_start
-                    } else {
-                        s.proc_start
-                    };
-                    self.prof
-                        .instant_detail(s.comp, id, what, self.busy_workers() as f64);
-                }
-                if let Some(m) = &self.metrics {
-                    m.on_started(id);
-                }
+                let what = if task.is_function {
+                    What::FuncStart
+                } else {
+                    What::Start
+                };
+                self.notes.push(out, id, What::End(DISPATCH), 0);
+                self.notes.push(out, id, what, self.busy_workers());
                 out.push(Action::Started(id));
                 out.push(Action::Timer {
                     after: task.duration,
@@ -468,18 +387,12 @@ impl DragonSim {
                 let task = self.in_flight.remove(&id).expect("done unknown task");
                 self.free_workers += task.workers as u64;
                 self.completed += 1;
-                if let Some(m) = &self.metrics {
-                    m.on_completed(id);
-                }
-                if let Some(s) = &self.syms {
-                    let what = if task.is_function {
-                        s.func_finish
-                    } else {
-                        s.proc_finish
-                    };
-                    self.prof
-                        .instant_detail(s.comp, id, what, self.busy_workers() as f64);
-                }
+                let what = if task.is_function {
+                    What::FuncFinish
+                } else {
+                    What::Finish
+                };
+                self.notes.push(out, id, what, self.busy_workers());
                 out.push(Action::Completed(id));
                 self.pump(out);
             }
@@ -495,52 +408,21 @@ impl DragonSim {
             return;
         };
         if head.workers as u64 > self.free_workers {
-            // Worker-pool backpressure: one lineage reject per distinct
-            // blocked head, not one per pump.
-            if let Some((l, part)) = &self.lineage {
-                if self.last_reject != Some(head.id) {
-                    self.last_reject = Some(head.id);
-                    l.record_ctx(
-                        head.id,
-                        rp_lineage::EV_PLACE_REJECT,
-                        rp_lineage::REJ_WORKERS_BUSY,
-                        LIN_BACKEND_DRAGON,
-                        *part,
-                        self.queue.len() as u64,
-                    );
-                }
-            }
-            return; // pool backpressure; wait for a Done
+            // Worker-pool backpressure; wait for a Done.
+            let (id, depth) = (head.id, self.queue.len() as u64);
+            self.notes
+                .push(out, id, What::Rejected(Reject::WorkersBusy), depth);
+            return;
         }
         let task = self.queue.pop_front().expect("non-empty");
         self.free_workers -= task.workers as u64;
         self.dispatch_busy = true;
-        if let Some((l, part)) = &self.lineage {
-            self.last_reject = None;
-            l.record_ctx(
-                task.id,
-                rp_lineage::EV_PLACE_OK,
-                rp_lineage::NO_DETAIL,
-                LIN_BACKEND_DRAGON,
-                *part,
-                self.busy_workers(),
-            );
-            l.record_ctx(
-                task.id,
-                rp_lineage::EV_LAUNCH_START,
-                rp_lineage::NO_DETAIL,
-                LIN_BACKEND_DRAGON,
-                *part,
-                self.queue.len() as u64,
-            );
-        }
-        if let Some(m) = &self.metrics {
-            m.on_accepted(task.id);
-        }
-        if let Some(s) = &self.syms {
-            self.prof.begin(s.t_dispatch, task.id, s.dispatch);
-            self.open_dispatch = Some(task.id);
-        }
+        let depth = self.queue.len() as u64;
+        self.notes
+            .push(out, task.id, What::Placed, self.busy_workers());
+        self.notes.push(out, task.id, What::LaunchStart, depth);
+        self.notes.push(out, task.id, What::Accepted, 0);
+        self.notes.push(out, task.id, What::Begin(DISPATCH), 0);
         self.dispatching = Some(task.id);
         let cost = if task.is_function {
             self.func_cost.sample(&mut self.rng)

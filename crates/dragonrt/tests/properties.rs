@@ -132,7 +132,9 @@ fn dragon_sim_conserves() {
                     Action::Started(_) => *started += 1,
                     Action::Completed(_) => *completed += 1,
                     Action::Ready => {}
-                    Action::Failed { .. } => unreachable!("Dragon fails no task itself"),
+                    Action::Failed { .. } | Action::Note(_) => {
+                        unreachable!("an unobserved Dragon fails no task itself")
+                    }
                 }
             }
         };

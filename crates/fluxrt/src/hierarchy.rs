@@ -293,6 +293,7 @@ impl FluxTreeSim {
                 Action::Started(id) => out.push(Action::Started(id)),
                 Action::Completed(id) => out.push(Action::Completed(id)),
                 Action::Failed { id, retryable } => out.push(Action::Failed { id, retryable }),
+                Action::Note(n) => out.push(Action::Note(n)),
             }
         }
     }

@@ -21,33 +21,14 @@
 
 use crate::job::{JobId, JobSpec};
 use crate::policy::{RunningJob, SchedPolicy};
-use rp_lineage::Lineage;
-use rp_metrics::{BackendInstruments, Registry};
 use rp_platform::{Allocation, Calibration, Placement, ResourcePool};
-use rp_profiler::{Profiler, Sym};
-use rp_sim::{Action, Dist, FxHashMap, RngStream, SimTime, StaleTokens};
+use rp_sim::{Action, Dist, FxHashMap, Notes, RngStream, SimTime, StaleTokens, What};
 use std::collections::VecDeque;
 
-/// Lineage backend code for flux (`BackendKind::Flux as u8`).
-const LIN_BACKEND_FLUX: u8 = 1;
-
-/// Interned profiler symbols. The three serial servers each get their own
-/// track (`<comp>.ingest` / `.match` / `.start`) so their B/E spans never
-/// overlap within a track; lifecycle instants go on the base track.
-#[derive(Debug, Clone)]
-struct ProfSyms {
-    comp: Sym,
-    t_ingest: Sym,
-    t_match: Sym,
-    t_start: Sym,
-    enqueue: Sym,
-    alloc: Sym,
-    start: Sym,
-    finish: Sym,
-    ingest: Sym,
-    matching: Sym,
-    launch: Sym,
-}
+/// Serial-server numbers in [`What::Begin`] / [`What::End`] notes.
+const INGEST: u8 = 0;
+const MATCH: u8 = 1;
+const START: u8 = 2;
 
 /// Timer tokens the driver delivers back via [`FluxInstanceSim::on_token`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -97,14 +78,8 @@ pub struct FluxInstanceSim {
     queued_peak: usize,
     /// False once killed by failure injection.
     alive: bool,
-    prof: Profiler,
-    syms: Option<ProfSyms>,
-    /// Open server spans (uid per busy server), closed on kill so Chrome
-    /// B/E pairs stay matched even across failure injection.
-    open_ingest: Option<u64>,
-    open_match: Option<u64>,
-    open_start: Option<u64>,
-    metrics: Option<BackendInstruments>,
+    /// Off until [`FluxInstanceSim::observe`].
+    notes: Notes,
     /// The job the start server currently holds (set by `pump_start`,
     /// cleared when its `Started` token arrives); lets fault injection tell
     /// a stale `Started` from a stale `Done` for a reaped running job.
@@ -122,12 +97,6 @@ pub struct FluxInstanceSim {
     stale_booted: u32,
     /// A `Booted` token is in flight (set by `boot`, cleared on arrival).
     booting: bool,
-    /// Lineage recorder plus this instance's partition index.
-    lineage: Option<(Lineage, u32)>,
-    /// Last `(head job, reason)` a placement reject was recorded for, so a
-    /// blocked queue head produces one lineage event per cause, not one
-    /// per pump.
-    last_reject: Option<(JobId, u16)>,
 }
 
 impl FluxInstanceSim {
@@ -161,12 +130,7 @@ impl FluxInstanceSim {
             completed: 0,
             queued_peak: 0,
             alive: true,
-            prof: Profiler::disabled(),
-            syms: None,
-            open_ingest: None,
-            open_match: None,
-            open_start: None,
-            metrics: None,
+            notes: Notes::default(),
             starting: None,
             stale_matched: StaleTokens::default(),
             stale_started: StaleTokens::default(),
@@ -174,43 +138,16 @@ impl FluxInstanceSim {
             stale_ingested: 0,
             stale_booted: 0,
             booting: false,
-            lineage: None,
-            last_reject: None,
         }
     }
 
-    /// Attach a profiler; job lifecycle instants land on the `comp` track
-    /// and each serial server's service spans on `<comp>.<server>`.
-    pub fn attach_profiler(&mut self, prof: Profiler, comp: &str) {
-        self.syms = Some(ProfSyms {
-            comp: prof.intern(comp),
-            t_ingest: prof.intern(&format!("{comp}.ingest")),
-            t_match: prof.intern(&format!("{comp}.match")),
-            t_start: prof.intern(&format!("{comp}.start")),
-            enqueue: prof.intern("ENQUEUE"),
-            alloc: prof.intern("ALLOC"),
-            start: prof.intern("START"),
-            finish: prof.intern("FINISH"),
-            ingest: prof.intern("ingest"),
-            matching: prof.intern("match"),
-            launch: prof.intern("launch"),
-        });
-        self.prof = prof;
-    }
-
-    /// Attach a lineage recorder for this instance (`partition` is the
-    /// instance's index within the flux deployment). Backend-queue entry,
-    /// the broker ingest hop, placement rejects with their reason, grants,
-    /// and start-server launches are recorded from here on.
-    pub fn attach_lineage(&mut self, lin: Lineage, partition: u32) {
-        self.lineage = Some((lin, partition));
-    }
-
-    /// Attach metrics under the `backend` label. Partitioned deployments
-    /// pass the same label for every instance; the registry merges their
-    /// samples into one distribution per metric.
-    pub fn attach_metrics(&mut self, reg: &Registry, backend: &str) {
-        self.metrics = Some(BackendInstruments::new(reg, backend));
+    /// Report [`rp_sim::Note`]s from here on: queue entry, the broker
+    /// ingest hop, placement rejects with their reason, grants, match
+    /// completion, start-server launches, payload start and finish, and
+    /// the service spans of the three serial servers (0 ingest, 1 match,
+    /// 2 start).
+    pub fn observe(&mut self) {
+        self.notes = Notes::ON;
     }
 
     /// The allocation this instance manages.
@@ -269,18 +206,6 @@ impl FluxInstanceSim {
     /// retryable.
     pub fn kill(&mut self) -> Vec<JobId> {
         self.alive = false;
-        if let Some(s) = &self.syms {
-            // Close any open server spans: the crash ends them.
-            if let Some(uid) = self.open_ingest.take() {
-                self.prof.end(s.t_ingest, uid, s.ingest);
-            }
-            if let Some(uid) = self.open_match.take() {
-                self.prof.end(s.t_match, uid, s.matching);
-            }
-            if let Some(uid) = self.open_start.take() {
-                self.prof.end(s.t_start, uid, s.launch);
-            }
-        }
         // Record exactly which timer tokens are orphaned so their arrival
         // (while dead, or after a restart) is swallowed: the match server's
         // job, the start server's job, and every other running job's Done.
@@ -316,11 +241,6 @@ impl FluxInstanceSim {
         self.match_busy = false;
         self.start_busy = false;
         lost.sort_unstable();
-        if let Some(m) = &self.metrics {
-            for id in &lost {
-                m.forget(id.0);
-            }
-        }
         lost
     }
 
@@ -336,7 +256,6 @@ impl FluxInstanceSim {
         self.alive = true;
         self.ready = false;
         self.pool = self.alloc.pool();
-        self.last_reject = None;
         self.boot(out);
     }
 
@@ -400,7 +319,6 @@ impl FluxInstanceSim {
         let mut lost = Vec::with_capacity(victims.len());
         for (id, pl) in &victims {
             self.pool.free(pl);
-            self.forget_metrics(*id);
             lost.push(*id);
         }
         // Reaping multi-node jobs returns their surviving ranks to the
@@ -438,29 +356,20 @@ impl FluxInstanceSim {
             .find_map(|(i, j)| (j.id == id).then_some(i))
         {
             self.pending_ingest.remove(pos);
-            self.forget_metrics(id);
             return true;
         }
         // Waiting for the scheduler.
         if let Some(pos) = self.queue.iter().position(|j| j.id == id) {
             self.queue.remove(pos);
-            self.forget_metrics(id);
             return true;
         }
         // Matched and waiting for the start server: free its resources.
         if let Some(pos) = self.start_queue.iter().position(|(j, _)| j.id == id) {
             let (_, placement) = self.start_queue.remove(pos).expect("position valid");
             self.pool.free(&placement);
-            self.forget_metrics(id);
             return true;
         }
         false
-    }
-
-    fn forget_metrics(&self, id: JobId) {
-        if let Some(m) = &self.metrics {
-            m.forget(id.0);
-        }
     }
 
     /// Reserve resources for a persistent service, bypassing the job queue
@@ -511,31 +420,15 @@ impl FluxInstanceSim {
             });
             return;
         }
-        if let Some(s) = &self.syms {
-            self.prof.instant(s.comp, job.id.0, s.enqueue);
-        }
-        if let Some(m) = &self.metrics {
-            let depth = self.pending_ingest.len() + self.queue.len();
-            let contended = !self.ready || self.ingest_busy || depth > 0;
-            m.on_submit(job.id.0, depth, contended);
-        }
+        let contended = !self.ready || self.ingest_busy || self.queued_count() > 0;
         let uid = job.id.0;
         self.pending_ingest.push_back(job);
         // Ingest→sched moves jobs between the two queues without changing
         // the total, so submit is the only site where the peak can move.
-        self.queued_peak = self
-            .queued_peak
-            .max(self.pending_ingest.len() + self.queue.len());
-        if let Some((l, part)) = &self.lineage {
-            l.record_ctx(
-                uid,
-                rp_lineage::EV_BACKEND_QUEUE,
-                rp_lineage::NO_DETAIL,
-                LIN_BACKEND_FLUX,
-                *part,
-                (self.pending_ingest.len() + self.queue.len()) as u64,
-            );
-        }
+        let depth = self.queued_count();
+        self.queued_peak = self.queued_peak.max(depth);
+        self.notes
+            .push(out, uid, What::Queued { contended }, depth as u64);
         self.pump_ingest(out);
         let _ = now;
     }
@@ -581,21 +474,10 @@ impl FluxInstanceSim {
                     .pending_ingest
                     .pop_front()
                     .expect("ingest completed with empty queue");
-                if let Some(s) = &self.syms {
-                    self.prof.end(s.t_ingest, job.id.0, s.ingest);
-                    self.open_ingest = None;
-                }
-                if let Some((l, part)) = &self.lineage {
-                    l.record_ctx(
-                        job.id.0,
-                        rp_lineage::EV_BROKER_HOP,
-                        rp_lineage::NO_DETAIL,
-                        LIN_BACKEND_FLUX,
-                        *part,
-                        (self.queue.len() + 1) as u64,
-                    );
-                }
                 self.queue.push_back(job);
+                let depth = self.queue.len() as u64;
+                self.notes.push(out, job.id.0, What::End(INGEST), 0);
+                self.notes.push(out, job.id.0, What::BrokerHop, depth);
                 self.pump_ingest(out);
                 self.pump_match(now, out);
             }
@@ -612,15 +494,9 @@ impl FluxInstanceSim {
                     .matched
                     .remove(&id)
                     .expect("match token for unknown job");
-                if let Some(s) = &self.syms {
-                    self.prof.end(s.t_match, id.0, s.matching);
-                    self.open_match = None;
-                    self.prof
-                        .instant_detail(s.comp, id.0, s.alloc, self.pool.busy_cores() as f64);
-                }
-                if let Some(m) = &self.metrics {
-                    m.on_accepted(id.0);
-                }
+                self.notes.push(out, id.0, What::End(MATCH), 0);
+                let busy = self.pool.busy_cores();
+                self.notes.push(out, id.0, What::Accepted, busy);
                 self.start_queue.push_back((job, placement));
                 self.pump_start(now, out);
                 self.pump_match(now, out);
@@ -634,14 +510,8 @@ impl FluxInstanceSim {
                 }
                 self.start_busy = false;
                 self.starting = None;
-                if let Some(s) = &self.syms {
-                    self.prof.end(s.t_start, id.0, s.launch);
-                    self.open_start = None;
-                    self.prof.instant(s.comp, id.0, s.start);
-                }
-                if let Some(m) = &self.metrics {
-                    m.on_started(id.0);
-                }
+                self.notes.push(out, id.0, What::End(START), 0);
+                self.notes.push(out, id.0, What::Start, 0);
                 // expected_end was fixed when the start timer was created
                 // (start completion time + payload duration), so the
                 // remaining span from `now` is exactly the payload duration.
@@ -670,13 +540,8 @@ impl FluxInstanceSim {
                     .expect("done token for unknown job");
                 self.pool.free(&run.placement);
                 self.completed += 1;
-                if let Some(m) = &self.metrics {
-                    m.on_completed(id.0);
-                }
-                if let Some(s) = &self.syms {
-                    self.prof
-                        .instant_detail(s.comp, id.0, s.finish, self.pool.busy_cores() as f64);
-                }
+                let busy = self.pool.busy_cores();
+                self.notes.push(out, id.0, What::Finish, busy);
                 out.push(Action::Completed(id.0));
                 self.pump_match(now, out);
             }
@@ -689,11 +554,8 @@ impl FluxInstanceSim {
             return;
         }
         self.ingest_busy = true;
-        if let Some(s) = &self.syms {
-            let uid = self.pending_ingest.front().expect("non-empty").id.0;
-            self.prof.begin(s.t_ingest, uid, s.ingest);
-            self.open_ingest = Some(uid);
-        }
+        let uid = self.pending_ingest.front().expect("non-empty").id.0;
+        self.notes.push(out, uid, What::Begin(INGEST), 0);
         let cost = self.ingest_cost.sample(&mut self.rng);
         out.push(Action::Timer {
             after: cost,
@@ -710,28 +572,14 @@ impl FluxInstanceSim {
             .policy
             .select(now, &self.queue, &self.pool, &self.running)
         else {
-            // The head can't be placed right now. Classify why for the
-            // head's lineage, once per distinct (head, reason).
-            if let Some((l, part)) = &self.lineage {
+            // The head can't be placed right now: say why.
+            if self.notes.on() {
                 let head = self.queue.front().expect("non-empty queue");
-                let reason = if head.req.total_cores() > self.pool.free_cores() {
-                    rp_lineage::REJ_INSUFFICIENT_CORES
-                } else if head.req.total_gpus() > self.pool.free_gpus() {
-                    rp_lineage::REJ_INSUFFICIENT_GPUS
-                } else {
-                    rp_lineage::REJ_FRAGMENTATION
-                };
-                if self.last_reject != Some((head.id, reason)) {
-                    self.last_reject = Some((head.id, reason));
-                    l.record_ctx(
-                        head.id.0,
-                        rp_lineage::EV_PLACE_REJECT,
-                        reason,
-                        LIN_BACKEND_FLUX,
-                        *part,
-                        self.queue.len() as u64,
-                    );
-                }
+                let why = head
+                    .req
+                    .shortfall(self.pool.free_cores(), self.pool.free_gpus());
+                let depth = self.queue.len() as u64;
+                self.notes.push(out, head.id.0, What::Rejected(why), depth);
             }
             return; // wait for a completion to free resources
         };
@@ -740,25 +588,11 @@ impl FluxInstanceSim {
             .pool
             .try_alloc(&job.req)
             .expect("policy selected a job that fits");
-        if let Some((l, part)) = &self.lineage {
-            if self.last_reject.map(|(id, _)| id) == Some(job.id) {
-                self.last_reject = None;
-            }
-            l.record_ctx(
-                job.id.0,
-                rp_lineage::EV_PLACE_OK,
-                rp_lineage::NO_DETAIL,
-                LIN_BACKEND_FLUX,
-                *part,
-                self.pool.busy_cores(),
-            );
-        }
+        let busy = self.pool.busy_cores();
+        self.notes.push(out, job.id.0, What::Placed, busy);
+        self.notes.push(out, job.id.0, What::Begin(MATCH), 0);
         self.matched.insert(job.id, (job, placement));
         self.match_busy = true;
-        if let Some(s) = &self.syms {
-            self.prof.begin(s.t_match, job.id.0, s.matching);
-            self.open_match = Some(job.id.0);
-        }
         let cost = self.match_cost.sample(&mut self.rng);
         out.push(Action::Timer {
             after: cost,
@@ -774,20 +608,9 @@ impl FluxInstanceSim {
         let (job, placement) = self.start_queue.pop_front().expect("non-empty");
         self.start_busy = true;
         self.starting = Some(job.id);
-        if let Some((l, part)) = &self.lineage {
-            l.record_ctx(
-                job.id.0,
-                rp_lineage::EV_LAUNCH_START,
-                rp_lineage::NO_DETAIL,
-                LIN_BACKEND_FLUX,
-                *part,
-                self.start_queue.len() as u64,
-            );
-        }
-        if let Some(s) = &self.syms {
-            self.prof.begin(s.t_start, job.id.0, s.launch);
-            self.open_start = Some(job.id.0);
-        }
+        let depth = self.start_queue.len() as u64;
+        self.notes.push(out, job.id.0, What::LaunchStart, depth);
+        self.notes.push(out, job.id.0, What::Begin(START), 0);
         let cost = self.start_cost.sample(&mut self.rng);
         // Register as running with its final expected end (start-server
         // completion + payload duration) so backfill sees it immediately.

@@ -8,6 +8,7 @@
 //! the invariants are enforced with debug assertions and property tests.
 
 use crate::node::{NodeId, NodeSpec};
+use rp_sim::Reject;
 use std::cell::RefCell;
 
 /// How ranks of a request may be laid out across nodes.
@@ -79,6 +80,19 @@ impl ResourceRequest {
     /// Total GPUs this request occupies while running.
     pub fn total_gpus(&self) -> u64 {
         self.ranks as u64 * self.gpus_per_rank as u64
+    }
+
+    /// Why this request cannot be placed with `free_cores` and
+    /// `free_gpus` free: too few cores, else too few GPUs, else the free
+    /// capacity sits on the wrong nodes.
+    pub fn shortfall(&self, free_cores: u64, free_gpus: u64) -> Reject {
+        if self.total_cores() > free_cores {
+            Reject::Cores
+        } else if self.total_gpus() > free_gpus {
+            Reject::Gpus
+        } else {
+            Reject::Fragmentation
+        }
     }
 }
 

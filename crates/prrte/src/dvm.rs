@@ -12,29 +12,15 @@
 //! nothing except what physically cannot run concurrently — the caller is
 //! expected to have placed tasks already.
 
-use rp_lineage::Lineage;
-use rp_metrics::{BackendInstruments, Registry};
 use rp_platform::{Allocation, Calibration};
-use rp_profiler::{Profiler, Sym, NO_UID};
-use rp_sim::{Action, Dist, FxHashMap, RngStream, SimDuration, SimTime, StaleTokens};
+use rp_sim::{
+    Action, Dist, FxHashMap, Notes, RngStream, SimDuration, SimTime, StaleTokens, What, NO_TASK,
+};
 use std::collections::VecDeque;
 
-/// Lineage backend code for prrte (`BackendKind::Prrte as u8`).
-const LIN_BACKEND_PRRTE: u8 = 3;
-
-/// Interned profiler symbols: HNP launch spans on `<comp>.hnp` (the HNP is
-/// serial, so spans never overlap), DVM lifecycle and task instants on the
-/// base track.
-#[derive(Debug, Clone)]
-struct ProfSyms {
-    comp: Sym,
-    t_hnp: Sym,
-    launch: Sym,
-    dvm_boot: Sym,
-    dvm_ready: Sym,
-    start: Sym,
-    finish: Sym,
-}
+/// The HNP launch server's number in [`What::Begin`] / [`What::End`]
+/// notes.
+const HNP: u8 = 0;
 
 /// A task handed to the DVM (already placed by the caller).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,15 +56,9 @@ pub struct PrrteDvm {
     /// Deepest the HNP queue has ever been.
     queued_peak: usize,
     alive: bool,
-    prof: Profiler,
-    syms: Option<ProfSyms>,
-    /// Uid in the HNP launch server, closed on kill so B/E pairs match.
-    open_launch: Option<u64>,
-    metrics: Option<BackendInstruments>,
-    /// Lineage recorder plus this DVM's partition index.
-    lineage: Option<(Lineage, u32)>,
-    /// Uid currently in the HNP launch server (always tracked, unlike
-    /// `open_launch` which exists only for profiler span pairing).
+    /// Off until [`PrrteDvm::observe`].
+    notes: Notes,
+    /// Uid currently in the HNP launch server.
     launching: Option<u64>,
     /// `Launched` tokens for reaped/killed tasks; consumed on arrival so a
     /// resubmitted uid's fresh token is not confused with the orphan.
@@ -105,11 +85,7 @@ impl PrrteDvm {
             completed: 0,
             queued_peak: 0,
             alive: true,
-            prof: Profiler::disabled(),
-            syms: None,
-            open_launch: None,
-            metrics: None,
-            lineage: None,
+            notes: Notes::default(),
             launching: None,
             stale_launched: StaleTokens::default(),
             stale_done: StaleTokens::default(),
@@ -118,33 +94,12 @@ impl PrrteDvm {
         }
     }
 
-    /// Attach a profiler; DVM lifecycle instants land on the `comp` track
-    /// and HNP launch spans on `<comp>.hnp`.
-    pub fn attach_profiler(&mut self, prof: Profiler, comp: &str) {
-        self.syms = Some(ProfSyms {
-            comp: prof.intern(comp),
-            t_hnp: prof.intern(&format!("{comp}.hnp")),
-            launch: prof.intern("launch"),
-            dvm_boot: prof.intern("DVM_BOOT"),
-            dvm_ready: prof.intern("DVM_READY"),
-            start: prof.intern("START"),
-            finish: prof.intern("FINISH"),
-        });
-        self.prof = prof;
-    }
-
-    /// Attach a lineage recorder for this DVM (`partition` is its index
-    /// within the prrte deployment). HNP-queue entry and launch starts are
-    /// recorded from here on — placement happens in the caller, so rejects
-    /// are the agent's to record.
-    pub fn attach_lineage(&mut self, lin: Lineage, partition: u32) {
-        self.lineage = Some((lin, partition));
-    }
-
-    /// Attach metrics under the `backend` label: HNP launch latency,
-    /// execution time, queue depth and launch-server contention.
-    pub fn attach_metrics(&mut self, reg: &Registry, backend: &str) {
-        self.metrics = Some(BackendInstruments::new(reg, backend));
+    /// Report [`rp_sim::Note`]s from here on: HNP-queue entry, launch
+    /// starts and the HNP's service span (server 0), payload start and
+    /// finish, and DVM boot and readiness. Placement happens in the
+    /// caller, so rejects are the caller's to note.
+    pub fn observe(&mut self) {
+        self.notes = Notes::ON;
     }
 
     /// Whether the DVM survived so far.
@@ -196,9 +151,7 @@ impl PrrteDvm {
     /// Start the DVM daemons. Actions are appended to `out` — callers
     /// reuse one buffer so the hot path stays allocation-free.
     pub fn boot(&mut self, out: &mut Vec<Action<PrrteToken>>) {
-        if let Some(s) = &self.syms {
-            self.prof.instant(s.comp, NO_UID, s.dvm_boot);
-        }
+        self.notes.push(out, NO_TASK, What::DvmBoot, 0);
         let cost = self.boot_cost.sample(&mut self.rng);
         self.booting = true;
         out.push(Action::Timer {
@@ -229,9 +182,6 @@ impl PrrteDvm {
         }
         if let Some(pos) = self.queue.iter().position(|t| t.id == id) {
             self.queue.remove(pos);
-            if let Some(m) = &self.metrics {
-                m.forget(id);
-            }
             return true;
         }
         if self.in_flight.remove(&id).is_none() {
@@ -242,16 +192,8 @@ impl PrrteDvm {
             // stale handler frees it and pumps.
             self.launching = None;
             self.stale_launched.mark(id);
-            if let Some(s) = &self.syms {
-                if self.open_launch.take().is_some() {
-                    self.prof.end(s.t_hnp, id, s.launch);
-                }
-            }
         } else {
             self.stale_done.mark(id);
-        }
-        if let Some(m) = &self.metrics {
-            m.forget(id);
         }
         true
     }
@@ -259,22 +201,12 @@ impl PrrteDvm {
     /// Submit a placed task for launch (FIFO through the HNP). Actions
     /// are appended to `out`.
     pub fn submit(&mut self, task: PrrteTask, out: &mut Vec<Action<PrrteToken>>) {
-        if let Some(m) = &self.metrics {
-            let contended = !self.ready || self.hnp_busy || !self.queue.is_empty();
-            m.on_submit(task.id, self.queue.len(), contended);
-        }
+        let contended = !self.ready || self.hnp_busy || !self.queue.is_empty();
         self.queue.push_back(task);
         self.queued_peak = self.queued_peak.max(self.queue.len());
-        if let Some((l, part)) = &self.lineage {
-            l.record_ctx(
-                task.id,
-                rp_lineage::EV_BACKEND_QUEUE,
-                rp_lineage::NO_DETAIL,
-                LIN_BACKEND_PRRTE,
-                *part,
-                self.queue.len() as u64,
-            );
-        }
+        let depth = self.queue.len() as u64;
+        self.notes
+            .push(out, task.id, What::Queued { contended }, depth);
         self.pump(out);
     }
 
@@ -285,9 +217,6 @@ impl PrrteDvm {
         }
         if let Some(pos) = self.queue.iter().position(|t| t.id == id) {
             self.queue.remove(pos);
-            if let Some(m) = &self.metrics {
-                m.forget(id);
-            }
             true
         } else {
             false
@@ -298,11 +227,6 @@ impl PrrteDvm {
     /// fault tolerance of its own — recovery is RP's job, §5).
     pub fn kill(&mut self) -> Vec<u64> {
         self.alive = false;
-        if let Some(s) = &self.syms {
-            if let Some(uid) = self.open_launch.take() {
-                self.prof.end(s.t_hnp, uid, s.launch);
-            }
-        }
         let mut lost: Vec<u64> = Vec::new();
         lost.extend(self.queue.drain(..).map(|t| t.id));
         // Orphaned timers are typed by where the task was when the DVM died:
@@ -323,11 +247,6 @@ impl PrrteDvm {
         }
         self.hnp_busy = false;
         lost.sort_unstable();
-        if let Some(m) = &self.metrics {
-            for id in &lost {
-                m.forget(*id);
-            }
-        }
         lost
     }
 
@@ -361,9 +280,7 @@ impl PrrteDvm {
                 }
                 self.booting = false;
                 self.ready = true;
-                if let Some(s) = &self.syms {
-                    self.prof.instant(s.comp, NO_UID, s.dvm_ready);
-                }
+                self.notes.push(out, NO_TASK, What::DvmReady, 0);
                 out.push(Action::Ready);
                 self.pump(out);
             }
@@ -377,14 +294,8 @@ impl PrrteDvm {
                 self.hnp_busy = false;
                 self.launching = None;
                 let task = self.in_flight.get(&id).expect("launched unknown task");
-                if let Some(s) = &self.syms {
-                    self.prof.end(s.t_hnp, id, s.launch);
-                    self.open_launch = None;
-                    self.prof.instant(s.comp, id, s.start);
-                }
-                if let Some(m) = &self.metrics {
-                    m.on_started(id);
-                }
+                self.notes.push(out, id, What::End(HNP), 0);
+                self.notes.push(out, id, What::Start, 0);
                 out.push(Action::Started(id));
                 out.push(Action::Timer {
                     after: task.duration,
@@ -398,13 +309,8 @@ impl PrrteDvm {
                 }
                 self.in_flight.remove(&id).expect("done unknown task");
                 self.completed += 1;
-                if let Some(m) = &self.metrics {
-                    m.on_completed(id);
-                }
-                if let Some(s) = &self.syms {
-                    self.prof
-                        .instant_detail(s.comp, id, s.finish, self.in_flight.len() as f64);
-                }
+                let running = self.in_flight.len() as u64;
+                self.notes.push(out, id, What::Finish, running);
                 out.push(Action::Completed(id));
             }
         }
@@ -418,23 +324,10 @@ impl PrrteDvm {
             return;
         };
         self.hnp_busy = true;
-        if let Some((l, part)) = &self.lineage {
-            l.record_ctx(
-                task.id,
-                rp_lineage::EV_LAUNCH_START,
-                rp_lineage::NO_DETAIL,
-                LIN_BACKEND_PRRTE,
-                *part,
-                self.queue.len() as u64,
-            );
-        }
-        if let Some(m) = &self.metrics {
-            m.on_accepted(task.id);
-        }
-        if let Some(s) = &self.syms {
-            self.prof.begin(s.t_hnp, task.id, s.launch);
-            self.open_launch = Some(task.id);
-        }
+        let depth = self.queue.len() as u64;
+        self.notes.push(out, task.id, What::LaunchStart, depth);
+        self.notes.push(out, task.id, What::Accepted, 0);
+        self.notes.push(out, task.id, What::Begin(HNP), 0);
         self.launching = Some(task.id);
         let cost = self.launch_cost.sample(&mut self.rng);
         self.in_flight.insert(task.id, task);

@@ -28,7 +28,9 @@ fn drive(mut dvm: PrrteDvm, tasks: Vec<PrrteTask>) -> (usize, usize, PrrteDvm) {
                 Action::Started(_) => *started += 1,
                 Action::Completed(_) => *completed += 1,
                 Action::Ready => {}
-                Action::Failed { .. } => unreachable!("the DVM fails no task itself"),
+                Action::Failed { .. } | Action::Note(_) => {
+                    unreachable!("an unobserved DVM fails no task itself")
+                }
             }
         }
     };

@@ -36,7 +36,7 @@ pub mod stale;
 pub mod time;
 pub mod uidmap;
 
-pub use action::Action;
+pub use action::{Action, Note, Notes, Reject, What, NO_TASK};
 pub use clock::SimClock;
 pub use dist::Dist;
 pub use engine::{Actor, ActorId, Ctx, Engine};

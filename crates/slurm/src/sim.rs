@@ -17,23 +17,11 @@
 //! every call, keeping the per-event hot path allocation-free.
 
 use crate::step::{StepId, StepRequest};
-use rp_lineage::Lineage;
-use rp_metrics::{BackendInstruments, Registry};
 use rp_platform::{Calibration, SrunSlots};
-use rp_profiler::{Profiler, Sym};
-use rp_sim::{Action, FxHashMap, FxHashSet, RngStream, SimDuration, StaleTokens};
+use rp_sim::{
+    Action, FxHashMap, FxHashSet, Notes, Reject, RngStream, SimDuration, StaleTokens, What,
+};
 use std::collections::VecDeque;
-
-/// Lineage backend code for srun (`BackendKind::Srun as u8`).
-const LIN_BACKEND_SRUN: u8 = 0;
-
-/// Interned profiler symbols for the launcher's hook sites.
-#[derive(Debug, Clone)]
-struct ProfSyms {
-    comp: Sym,
-    acquire: Sym,
-    release: Sym,
-}
 
 /// Timer tokens the driver must deliver back via [`SrunSim::on_token`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -58,13 +46,8 @@ pub struct SrunSim {
     /// Steps past slot-acquisition, keyed by id: payload duration (None for
     /// persistent holds, which release only via `release_persistent`).
     in_flight: FxHashMap<StepId, Option<SimDuration>>,
-    prof: Profiler,
-    syms: Option<ProfSyms>,
-    metrics: Option<BackendInstruments>,
-    lineage: Option<Lineage>,
-    /// Last queue head a capacity reject was recorded for, so a blocked
-    /// head produces one lineage event, not one per pump.
-    last_reject: Option<StepId>,
+    /// Off until [`SrunSim::observe`].
+    notes: Notes,
     /// Steps whose `Launched` token is still in flight (slot acquired,
     /// payload not started). Needed to type orphaned timers when a node
     /// failure reaps a step: a launching victim owes a `Launched`, a
@@ -91,43 +74,19 @@ impl SrunSim {
             queue: VecDeque::new(),
             queued_peak: 0,
             in_flight: FxHashMap::default(),
-            prof: Profiler::disabled(),
-            syms: None,
-            metrics: None,
-            lineage: None,
-            last_reject: None,
+            notes: Notes::default(),
             launching: FxHashSet::default(),
             stale_launched: StaleTokens::default(),
             stale_exited: StaleTokens::default(),
         }
     }
 
-    /// Attach a profiler; slot acquire/release events are recorded on the
-    /// `comp` track from here on. Names are interned once, so hook sites
-    /// stay allocation-free.
-    pub fn attach_profiler(&mut self, prof: Profiler, comp: &str) {
-        self.syms = Some(ProfSyms {
-            comp: prof.intern(comp),
-            acquire: prof.intern("SLOT_ACQUIRE"),
-            release: prof.intern("SLOT_RELEASE"),
-        });
-        self.prof = prof;
-    }
-
-    /// Attach a lineage recorder; step queueing, slot-capacity rejects,
-    /// and launch starts are recorded against the srun backend from here
-    /// on. Persistent instance-bootstrap holds are infrastructure and stay
-    /// unrecorded.
-    pub fn attach_lineage(&mut self, lin: Lineage) {
-        self.lineage = Some(lin);
-    }
-
-    /// Attach metrics; submit/launch/complete latencies and slot
-    /// contention are recorded under the `backend` label. Only regular
-    /// steps are instrumented — persistent instance-bootstrap holds are
-    /// infrastructure, not task traffic.
-    pub fn attach_metrics(&mut self, reg: &Registry, backend: &str) {
-        self.metrics = Some(BackendInstruments::new(reg, backend));
+    /// Report [`rp_sim::Note`]s from here on: step queueing, slot
+    /// acquire and release, slot-capacity rejects of a blocked head, launch
+    /// start, payload start and exit. Persistent instance-bootstrap holds
+    /// are infrastructure: they note only their slot acquire and release.
+    pub fn observe(&mut self) {
+        self.notes = Notes::ON;
     }
 
     /// Steps waiting for a slot.
@@ -158,24 +117,14 @@ impl SrunSim {
     /// Submit a step; it launches immediately if a slot is free, otherwise
     /// it queues FIFO. Actions are appended to `out`.
     pub fn submit(&mut self, step: StepRequest, out: &mut Vec<Action<SrunToken>>) {
-        if let Some(m) = &self.metrics {
-            let contended =
-                !self.queue.is_empty() || self.slots.in_use() >= self.cal.srun_concurrency_ceiling;
-            m.on_submit(step.id.0, self.queue.len(), contended);
-        }
+        let contended =
+            !self.queue.is_empty() || self.slots.in_use() >= self.cal.srun_concurrency_ceiling;
         let step_uid = step.id.0;
         self.queue.push_back(step);
         self.queued_peak = self.queued_peak.max(self.queue.len());
-        if let Some(l) = &self.lineage {
-            l.record_ctx(
-                step_uid,
-                rp_lineage::EV_BACKEND_QUEUE,
-                rp_lineage::NO_DETAIL,
-                LIN_BACKEND_SRUN,
-                0,
-                self.queue.len() as u64,
-            );
-        }
+        let depth = self.queue.len() as u64;
+        self.notes
+            .push(out, step_uid, What::Queued { contended }, depth);
         self.pump(out);
     }
 
@@ -204,10 +153,8 @@ impl SrunSim {
         match self.in_flight.remove(&id) {
             Some(None) => {
                 self.slots.release();
-                if let Some(s) = &self.syms {
-                    self.prof
-                        .instant_detail(s.comp, id.0, s.release, self.slots.in_use() as f64);
-                }
+                let in_use = self.slots.in_use() as u64;
+                self.notes.push(out, id.0, What::SlotRelease, in_use);
                 self.pump(out);
             }
             other => panic!("release_persistent({id:?}) on non-persistent entry {other:?}"),
@@ -220,9 +167,6 @@ impl SrunSim {
     pub fn cancel(&mut self, id: StepId) -> bool {
         if let Some(pos) = self.queue.iter().position(|s| s.id == id) {
             self.queue.remove(pos);
-            if let Some(m) = &self.metrics {
-                m.forget(id.0);
-            }
             true
         } else {
             false
@@ -253,13 +197,8 @@ impl SrunSim {
                 self.stale_exited.mark(id);
             }
             self.slots.release();
-            if let Some(m) = &self.metrics {
-                m.forget(*uid);
-            }
-            if let Some(s) = &self.syms {
-                self.prof
-                    .instant_detail(s.comp, *uid, s.release, self.slots.in_use() as f64);
-            }
+            let in_use = self.slots.in_use() as u64;
+            self.notes.push(out, *uid, What::SlotRelease, in_use);
         }
         if !lost.is_empty() {
             self.pump(out);
@@ -284,9 +223,7 @@ impl SrunSim {
                 Some(Some(duration)) => {
                     self.launching.remove(&id);
                     let d = *duration;
-                    if let Some(m) = &self.metrics {
-                        m.on_started(id.0);
-                    }
+                    self.notes.push(out, id.0, What::Start, 0);
                     out.push(Action::Started(id.0));
                     out.push(Action::Timer {
                         after: d,
@@ -302,14 +239,9 @@ impl SrunSim {
                     .remove(&id)
                     .unwrap_or_else(|| panic!("Exited token for unknown step {id:?}"));
                 assert!(entry.is_some(), "persistent step exited via timer");
-                if let Some(m) = &self.metrics {
-                    m.on_completed(id.0);
-                }
                 self.slots.release();
-                if let Some(s) = &self.syms {
-                    self.prof
-                        .instant_detail(s.comp, id.0, s.release, self.slots.in_use() as f64);
-                }
+                let in_use = self.slots.in_use() as u64;
+                self.notes.push(out, id.0, What::Finish, in_use);
                 out.push(Action::Completed(id.0));
                 self.pump(out);
             }
@@ -321,57 +253,31 @@ impl SrunSim {
         while let Some(head) = self.queue.front() {
             let head_id = head.id;
             if !self.slots.try_acquire() {
-                // The head is blocked on the concurrency ceiling: one
-                // lineage reject per distinct blocked head (not per pump),
-                // and only for task steps, not persistent infra holds.
-                if let Some(l) = &self.lineage {
-                    if self.last_reject != Some(head_id)
-                        && !matches!(self.in_flight.get(&head_id), Some(None))
-                    {
-                        self.last_reject = Some(head_id);
-                        l.record_ctx(
-                            head_id.0,
-                            rp_lineage::EV_PLACE_REJECT,
-                            rp_lineage::REJ_CAPACITY,
-                            LIN_BACKEND_SRUN,
-                            0,
-                            self.queue.len() as u64,
-                        );
-                    }
+                // The head is blocked on the concurrency ceiling; persistent
+                // infra holds are not task traffic and go unnoted.
+                if self.notes.on() && !matches!(self.in_flight.get(&head_id), Some(None)) {
+                    let depth = self.queue.len() as u64;
+                    self.notes
+                        .push(out, head_id.0, What::Rejected(Reject::Capacity), depth);
                 }
                 break;
             }
             let step = self.queue.pop_front().expect("non-empty queue");
-            self.last_reject = None;
-            if let Some(m) = &self.metrics {
-                m.on_accepted(step.id.0);
-            }
-            if let Some(l) = &self.lineage {
-                // Persistent entries were pre-registered with None.
-                if !matches!(self.in_flight.get(&step.id), Some(None)) {
-                    l.record_ctx(
-                        step.id.0,
-                        rp_lineage::EV_LAUNCH_START,
-                        rp_lineage::NO_DETAIL,
-                        LIN_BACKEND_SRUN,
-                        0,
-                        self.slots.in_use() as u64,
-                    );
-                }
-            }
-            if let Some(s) = &self.syms {
-                self.prof
-                    .instant_detail(s.comp, step.id.0, s.acquire, self.slots.in_use() as f64);
+            // Persistent entries were pre-registered with None.
+            let task = !matches!(self.in_flight.get(&step.id), Some(None));
+            let in_use = self.slots.in_use() as u64;
+            self.notes.push(out, step.id.0, What::Accepted, in_use);
+            if task {
+                self.notes.push(out, step.id.0, What::LaunchStart, in_use);
             }
             let overhead = self
                 .cal
                 .srun_step_cost(self.alloc_nodes, step.step_nodes)
                 .sample(&mut self.rng);
-            // Persistent entries were pre-registered with None.
             self.in_flight.entry(step.id).or_insert(Some(step.duration));
             // Persistent holds are infrastructure, never reaped by node
             // failures, so only task steps need launch-phase tracking.
-            if !matches!(self.in_flight.get(&step.id), Some(None)) {
+            if task {
                 self.launching.insert(step.id);
             }
             out.push(Action::Timer {
@@ -417,7 +323,9 @@ mod tests {
                     }
                     Action::Started(_) => starts.push(now as f64 / 1e6),
                     Action::Completed(_) => ends.push(now as f64 / 1e6),
-                    Action::Ready | Action::Failed { .. } => unreachable!("srun never emits these"),
+                    Action::Ready | Action::Failed { .. } | Action::Note(_) => {
+                        unreachable!("srun never emits these unobserved")
+                    }
                 }
             }
         };

@@ -44,7 +44,9 @@ fn ceiling_and_fifo_hold() {
                     }
                     Action::Started(id) => started.push(id),
                     Action::Completed(_) => *completed += 1,
-                    Action::Ready | Action::Failed { .. } => unreachable!("srun never emits these"),
+                    Action::Ready | Action::Failed { .. } | Action::Note(_) => {
+                        unreachable!("an unobserved srun never emits these")
+                    }
                 }
             }
         };
