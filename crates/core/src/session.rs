@@ -1059,6 +1059,26 @@ mod tests {
         assert_eq!(report.done_tasks().count(), 896, "every task runs");
     }
 
+    /// A node fault that hits the task in PRRTE's HNP launch server fails
+    /// it once: that task is resident once, although the DVM lists it both
+    /// as launching and as in flight. Failing it twice panicked on
+    /// `Failed -> Failed`.
+    #[test]
+    fn chaos_prrte_node_fault_fails_launching_task_once() {
+        use rp_chaos::FaultSpec;
+        let tasks: Vec<TaskDescription> = (0..896)
+            .map(|i| TaskDescription::dummy(i, SimDuration::from_secs(90)))
+            .collect();
+        let spec = FaultSpec::parse(
+            "nodes=1,crashes=1,hangs=2,window=30..200,downtime=60,restart=15,watchdog=30,retries=5",
+        )
+        .unwrap();
+        let report = SimSession::with_tasks(PilotConfig::prrte(4).with_seed(1000), tasks)
+            .with_faults(spec, 31, 896)
+            .run();
+        assert!(report.tasks.iter().all(|r| r.state.is_terminal()));
+    }
+
     /// Chaos partitions follow instance-report order whatever order the
     /// backends are specified in: a crash of flat partition `p` kills
     /// `report.instances[p]`.

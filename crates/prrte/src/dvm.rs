@@ -134,14 +134,14 @@ impl PrrteDvm {
     }
 
     /// Uids of every resident task — queued at the HNP, mid-launch, or
-    /// running — in ascending uid order (sorted so fault-plane victim
-    /// scans are deterministic regardless of hash-map iteration order).
+    /// running — each once, in ascending uid order (sorted so fault-plane
+    /// victim scans are deterministic regardless of hash-map iteration
+    /// order). The task mid-launch is already in flight.
     pub fn resident_ids(&self) -> Vec<u64> {
         let mut ids: Vec<u64> = self
             .queue
             .iter()
             .map(|t| t.id)
-            .chain(self.launching)
             .chain(self.in_flight.keys().copied())
             .collect();
         ids.sort_unstable();
