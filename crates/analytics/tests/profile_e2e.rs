@@ -3,7 +3,8 @@
 
 use rp_analytics::{ovh_breakdown, parse_profile_csv, task_timelines};
 use rp_core::{
-    BackendKind, BackendSpec, PilotConfig, RunReport, SimSession, TaskDescription, TaskState,
+    BackendKind, BackendSpec, FaultSpec, PilotConfig, RunReport, SimSession, TaskDescription,
+    TaskState,
 };
 use rp_profiler::{Phase, ProfileData};
 use rp_sim::SimDuration;
@@ -165,55 +166,75 @@ fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     Some(&line[start..start + end])
 }
 
+/// A profiled null campaign on `cfg` under node faults only, at
+/// `fault_seed`: reaps hit tasks a serial server is busy with.
+fn node_fault_report(cfg: PilotConfig, fault_seed: u64) -> RunReport {
+    let tasks: Vec<TaskDescription> = (0..896).map(TaskDescription::null).collect();
+    let spec = FaultSpec::parse("nodes=3,crashes=0,hangs=0,window=0..30,downtime=10,retries=4")
+        .expect("fault spec parses");
+    SimSession::with_tasks(cfg, tasks)
+        .with_profiling(SimDuration::from_secs(60))
+        .with_faults(spec, fault_seed, 896)
+        .run()
+}
+
 #[test]
 fn chrome_trace_is_balanced_and_monotonic_per_track() {
-    let report = profiled_report();
-    let data = profile(&report);
-    let doc = data.chrome_trace();
-    let lines: Vec<&str> = doc.lines().collect();
-    assert_eq!(lines.first(), Some(&"["));
-    assert_eq!(lines.last(), Some(&"]"));
+    // The failure-free pilot, plus node faults that reap the job Flux's
+    // start server holds and the task in Dragon's dispatcher.
+    let reports = [
+        profiled_report(),
+        node_fault_report(PilotConfig::flux(4, 1).with_seed(1000), 3),
+        node_fault_report(PilotConfig::dragon(4).with_seed(1000), 1),
+    ];
+    for report in &reports {
+        let data = profile(report);
+        let doc = data.chrome_trace();
+        let lines: Vec<&str> = doc.lines().collect();
+        assert_eq!(lines.first(), Some(&"["));
+        assert_eq!(lines.last(), Some(&"]"));
 
-    use std::collections::HashMap;
-    let mut last_ts: HashMap<i64, i64> = HashMap::new();
-    let mut open_spans: HashMap<i64, Vec<String>> = HashMap::new();
-    let mut metadata = 0usize;
-    let mut events = 0usize;
-    for line in &lines[1..lines.len() - 1] {
-        let ph = str_field(line, "ph").expect("every event has a phase");
-        if ph == "M" {
-            metadata += 1;
-            continue;
-        }
-        events += 1;
-        let tid = int_field(line, "tid").expect("tid");
-        let ts = int_field(line, "ts").expect("ts");
-        let name = str_field(line, "name").expect("name").to_string();
-        // Timestamps never go backwards within a track.
-        let prev = last_ts.insert(tid, ts).unwrap_or(i64::MIN);
-        assert!(ts >= prev, "track {tid} went backwards: {prev} -> {ts}");
-        match ph {
-            "B" => open_spans.entry(tid).or_default().push(name),
-            "E" => {
-                let top = open_spans
-                    .entry(tid)
-                    .or_default()
-                    .pop()
-                    .unwrap_or_else(|| panic!("E without B on track {tid}"));
-                assert_eq!(top, name, "mismatched span pair on track {tid}");
+        use std::collections::HashMap;
+        let mut last_ts: HashMap<i64, i64> = HashMap::new();
+        let mut open_spans: HashMap<i64, Vec<String>> = HashMap::new();
+        let mut metadata = 0usize;
+        let mut events = 0usize;
+        for line in &lines[1..lines.len() - 1] {
+            let ph = str_field(line, "ph").expect("every event has a phase");
+            if ph == "M" {
+                metadata += 1;
+                continue;
             }
-            "i" | "C" => {}
-            other => panic!("unexpected phase {other:?}"),
+            events += 1;
+            let tid = int_field(line, "tid").expect("tid");
+            let ts = int_field(line, "ts").expect("ts");
+            let name = str_field(line, "name").expect("name").to_string();
+            // Timestamps never go backwards within a track.
+            let prev = last_ts.insert(tid, ts).unwrap_or(i64::MIN);
+            assert!(ts >= prev, "track {tid} went backwards: {prev} -> {ts}");
+            match ph {
+                "B" => open_spans.entry(tid).or_default().push(name),
+                "E" => {
+                    let top = open_spans
+                        .entry(tid)
+                        .or_default()
+                        .pop()
+                        .unwrap_or_else(|| panic!("E without B on track {tid}"));
+                    assert_eq!(top, name, "mismatched span pair on track {tid}");
+                }
+                "i" | "C" => {}
+                other => panic!("unexpected phase {other:?}"),
+            }
         }
-    }
-    assert_eq!(
-        metadata,
-        data.names.len(),
-        "one thread_name per interned name"
-    );
-    assert_eq!(events, data.events.len());
-    for (tid, stack) in open_spans {
-        assert!(stack.is_empty(), "track {tid} left spans open: {stack:?}");
+        assert_eq!(
+            metadata,
+            data.names.len(),
+            "one thread_name per interned name"
+        );
+        assert_eq!(events, data.events.len());
+        for (tid, stack) in open_spans {
+            assert!(stack.is_empty(), "track {tid} left spans open: {stack:?}");
+        }
     }
 }
 

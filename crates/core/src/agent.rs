@@ -2680,7 +2680,7 @@ impl SimAgent {
                 let mut acts = std::mem::take(&mut self.scratch_flux);
                 let lost = self.flux[p].fail_node(ctx.now(), node_idx, &mut acts);
                 self.obs
-                    .forget(self.slot(kind, part), lost.iter().map(|j| j.0));
+                    .reap(self.slot(kind, part), lost.iter().map(|j| j.0));
                 self.apply_actions(kind, part, &mut acts, AgentMsg::Flux, ctx);
                 Self::restore_scratch(&mut self.scratch_flux, acts);
                 lost.into_iter().map(|JobId(id)| id).collect()
@@ -2688,7 +2688,7 @@ impl SimAgent {
             BackendKind::Dragon => {
                 let mut acts = std::mem::take(&mut self.scratch_dragon);
                 let lost = self.dragon[p].fail_node(node_idx, &mut acts);
-                self.obs.forget(self.slot(kind, part), lost.iter().copied());
+                self.obs.reap(self.slot(kind, part), lost.iter().copied());
                 self.apply_actions(kind, part, &mut acts, AgentMsg::Dragon, ctx);
                 Self::restore_scratch(&mut self.scratch_dragon, acts);
                 lost
@@ -2723,7 +2723,7 @@ impl SimAgent {
             BackendKind::Srun => {
                 let mut acts = std::mem::take(&mut self.scratch_srun);
                 let lost = self.site_srun.fail_node(node_idx, &mut acts);
-                self.obs.forget(self.slot(kind, 0), lost.iter().copied());
+                self.obs.reap(self.slot(kind, 0), lost.iter().copied());
                 self.apply_actions(kind, 0, &mut acts, srun_msg, ctx);
                 Self::restore_scratch(&mut self.scratch_srun, acts);
                 for &id in &lost {

@@ -255,7 +255,7 @@ impl BackendObserver {
     }
 
     /// Tasks `ids` left instance `slot` without starting or completing
-    /// (canceled, or lost to a fault).
+    /// (canceled, or lost to a crash).
     pub(crate) fn forget(&mut self, slot: usize, ids: impl IntoIterator<Item = u64>) {
         if let Some(m) = &self.insts[slot].instruments {
             ids.into_iter().for_each(|id| m.forget(id));
