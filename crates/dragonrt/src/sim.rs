@@ -409,9 +409,8 @@ impl DragonSim {
         };
         if head.workers as u64 > self.free_workers {
             // Worker-pool backpressure; wait for a Done.
-            let (id, depth) = (head.id, self.queue.len() as u64);
-            self.notes
-                .push(out, id, What::Rejected(Reject::WorkersBusy), depth);
+            let why = What::Rejected(Reject::WorkersBusy);
+            self.notes.push(out, head.id, why, self.queue.len() as u64);
             return;
         }
         let task = self.queue.pop_front().expect("non-empty");

@@ -1070,6 +1070,22 @@ mod tests {
     }
 
     #[test]
+    fn shortfall_names_cores_then_gpus_then_fragmentation() {
+        let mut p = pool(2);
+        // 30 cores busy on each node: 52 cores free, but no node has 27.
+        let big = ResourceRequest::single(30, 4);
+        let held = [p.try_alloc(&big).unwrap(), p.try_alloc(&big).unwrap()];
+        assert_ne!(held[0].ranks[0].node, held[1].ranks[0].node);
+        let (cores, gpus) = (p.free_cores(), p.free_gpus());
+        let shortfall = |req: ResourceRequest| req.shortfall(cores, gpus);
+        assert_eq!(shortfall(ResourceRequest::single(53, 0)), Reject::Cores);
+        assert_eq!(shortfall(ResourceRequest::single(1, 9)), Reject::Gpus);
+        let wide = ResourceRequest::single(27, 0);
+        assert!(p.try_alloc(&wide).is_none());
+        assert_eq!(shortfall(wide), Reject::Fragmentation);
+    }
+
+    #[test]
     fn alloc_free_roundtrip_restores_pool() {
         let mut p = pool(4);
         let req = ResourceRequest::mpi(4, 56, 8);

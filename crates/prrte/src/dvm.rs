@@ -133,10 +133,9 @@ impl PrrteDvm {
         self.queue.is_empty() && self.in_flight.is_empty()
     }
 
-    /// Uids of every resident task — queued at the HNP, mid-launch, or
-    /// running — each once, in ascending uid order (sorted so fault-plane
-    /// victim scans are deterministic regardless of hash-map iteration
-    /// order). The task mid-launch is already in flight.
+    /// Uids of every resident task, each once, in ascending uid order:
+    /// queued at the HNP, or in flight (mid-launch or running). Sorted so
+    /// fault-plane victim scans do not depend on hash-map iteration order.
     pub fn resident_ids(&self) -> Vec<u64> {
         let mut ids: Vec<u64> = self
             .queue

@@ -76,7 +76,8 @@ pub enum What {
     /// the grant (or, for RP-side placement, the cores granted).
     Placed,
     /// The launch fabric accepted the task (slot acquired, match done or
-    /// launch server picked it up); `value` is its occupancy.
+    /// launch server picked it up); `value` is the slots in use (srun),
+    /// the busy cores (Flux), or 0.
     Accepted,
     /// The task's launch began; `value` is the launch queue depth left
     /// behind (srun: slots in use).
@@ -85,11 +86,12 @@ pub enum What {
     Begin(u8),
     /// The backend's serial server number `.0` finished serving the task.
     End(u8),
-    /// The payload started; `value` is the occupancy after it.
+    /// The payload started; `value` is the busy workers (Dragon) or 0.
     Start,
     /// A function task's payload started (Dragon); as [`What::Start`].
     FuncStart,
-    /// The payload finished; `value` is the occupancy after it.
+    /// The payload finished; `value` is the occupancy it leaves: slots
+    /// in use, busy cores or workers, or running tasks (PRRTE).
     Finish,
     /// A function task's payload finished (Dragon); as [`What::Finish`].
     FuncFinish,

@@ -256,9 +256,9 @@ impl SrunSim {
                 // The head is blocked on the concurrency ceiling; persistent
                 // infra holds are not task traffic and go unnoted.
                 if self.notes.on() && !matches!(self.in_flight.get(&head_id), Some(None)) {
-                    let depth = self.queue.len() as u64;
+                    let why = What::Rejected(Reject::Capacity);
                     self.notes
-                        .push(out, head_id.0, What::Rejected(Reject::Capacity), depth);
+                        .push(out, head_id.0, why, self.queue.len() as u64);
                 }
                 break;
             }
